@@ -4,7 +4,8 @@
 // cycle simulation — and reports wall-clock seconds, variants/second, the
 // speedup, and whether the two runs were bit-identical (they must be; the
 // fast path is an exactness-preserving optimization, see DESIGN.md
-// "Steady-state model").
+// "Steady-state model"). A second block times each speed layer on its own
+// at 16 KiB (L1-resident), where per-invoke memo cost shows most.
 //
 // Emits BENCH_sim_backend.json next to the working directory for CI's
 // regression gate, and exits non-zero if bit-identity is violated.
@@ -16,6 +17,7 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "launcher/arch_registry.hpp"
 #include "launcher/explore.hpp"
 
 using namespace microtools;
@@ -91,6 +93,43 @@ int main(int argc, char** argv) {
   bench::expectShape(identical, "fast-path results bit-identical to exact");
   bench::expectShape(speedup >= 10.0, "fast path >= 10x faster than exact");
 
+  // Layer ablation at 16 KiB: every combination of the two speed layers,
+  // each checked against the exact run (the first row).
+  struct Ablation {
+    const char* name;
+    launcher::SimBackendOptions sim;
+    double seconds = 0.0;
+  };
+  std::vector<Ablation> ablation = {{"exact", {false, false}},
+                                    {"steady_only", {true, false}},
+                                    {"memo_only", {false, true}},
+                                    {"default", {true, true}}};
+  launcher::ExploreOptions l1 = options;
+  l1.arrayBytes = 16 * 1024;
+  sim::MachineConfig machine = launcher::archByName(l1.arch).config;
+  launcher::ExploreResult l1Exact;
+  bool ablationIdentical = true;
+  for (Ablation& row : ablation) {
+    launcher::SimBackendOptions simOptions = row.sim;
+    l1.backendFactory = [machine, simOptions](int) {
+      return std::make_unique<launcher::SimBackend>(machine, simOptions);
+    };
+    l1.backendId = "sim:" + l1.arch + ":" + row.name;
+    launcher::ExploreResult result;
+    row.seconds = secondsOf(result, l1);
+    if (&row == &ablation.front()) {
+      l1Exact = std::move(result);
+    } else if (!bitIdentical(result, l1Exact)) {
+      ablationIdentical = false;
+      std::printf("16 KiB %s: results differ from exact\n", row.name);
+    }
+    std::printf("16 KiB %-12s %.3f s\n", row.name, row.seconds);
+  }
+  bench::expectShape(ablationIdentical,
+                     "16 KiB: every layer combination bit-identical to exact");
+  bench::expectShape(ablation[3].seconds < ablation[0].seconds,
+                     "16 KiB: default faster than exact");
+
   // Successive-halving search on the same description: same winner as the
   // exhaustive sweep for a fraction of the variant-measurement work.
   launcher::ExploreResult halved;
@@ -136,12 +175,18 @@ int main(int argc, char** argv) {
        << ",\n"
        << "  \"halving_work_ratio\": " << workRatio << ",\n"
        << "  \"halving_same_winner\": " << (sameWinner ? "true" : "false")
-       << ",\n"
+       << ",\n";
+  for (const Ablation& row : ablation) {
+    json << "  \"ablation_16k_" << row.name << "_seconds\": " << row.seconds
+         << ",\n";
+  }
+  json << "  \"ablation_16k_bit_identical\": "
+       << (ablationIdentical ? "true" : "false") << ",\n"
        << "  \"env\": " << bench::envJsonObject() << "\n"
        << "}\n";
   std::printf("wrote %s\n", jsonPath.c_str());
 
   bench::finish();
   // Bit-identity is a hard contract, not a shape expectation: fail the run.
-  return identical ? 0 : 1;
+  return identical && ablationIdentical ? 0 : 1;
 }

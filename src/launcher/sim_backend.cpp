@@ -72,12 +72,11 @@ void hashRequest(hash::Fnv1a& h, const KernelRequest& request) {
 }  // namespace
 
 SimBackend::SimBackend(sim::MachineConfig config, SimBackendOptions options)
-    : config_(std::move(config)),
-      options_(options),
-      memsys_(std::make_unique<sim::MemorySystem>(config_)) {}
+    : config_(std::move(config)), options_(options), memsys_(config_) {}
 
 void SimBackend::setMachine(sim::MachineConfig config) {
   config_ = std::move(config);
+  memsys_ = sim::MemorySystem(config_);
   reset();
 }
 
@@ -121,23 +120,22 @@ std::uint64_t SimBackend::invokeKey(const SimKernel& handle,
 }
 
 std::uint64_t SimBackend::stateKey() {
-  if (!stateKeyCache_) stateKeyCache_ = memsys_->stateFingerprint(clock_);
+  if (!stateKeyCache_) stateKeyCache_ = memsys_.stateFingerprint(clock_);
   return *stateKeyCache_;
 }
 
 InvokeResult SimBackend::invoke(KernelHandle& kernel,
                                 const KernelRequest& request) {
   SimKernel& handle = checkedHandle(kernel);
+  if (request.core < 0 || request.core >= config_.totalCores()) {
+    throw McError("core " + std::to_string(request.core) +
+                  " is out of range: machine " + config_.name + " has " +
+                  std::to_string(config_.totalCores()) + " cores (0.." +
+                  std::to_string(config_.totalCores() - 1) + ")");
+  }
 
   std::uint64_t memoKey = 0;
   std::uint64_t preState = 0;
-  std::uint64_t lvlBefore[5] = {
-      0, memsys_->levelCount(sim::MemLevel::L1),
-      memsys_->levelCount(sim::MemLevel::L2),
-      memsys_->levelCount(sim::MemLevel::L3),
-      memsys_->levelCount(sim::MemLevel::Ram)};
-  std::uint64_t prefetchBefore = memsys_->prefetchCount();
-
   if (options_.memoize) {
     preState = stateKey();
     hash::Fnv1a mh;
@@ -148,20 +146,15 @@ InvokeResult SimBackend::invoke(KernelHandle& kernel,
       // Same program + request from a fingerprint-equal machine state:
       // deterministic simulation would reproduce the recorded run bit for
       // bit, ending in a state that is the recorded post-state shifted
-      // forward in time by however much later we are starting. So restore
-      // the snapshot, shift its in-flight busy-times by that difference
-      // (cache contents and LRU ranks are time-free and restore verbatim),
-      // and splice the statistics: current counters plus the recorded
-      // run's deltas.
+      // forward in time by however much later we are starting. So write
+      // the recorded delta back (every set outside it already matches),
+      // shift the in-flight busy-times by that difference (cache contents
+      // and LRU ranks are time-free), and splice the statistics: current
+      // counters plus the recorded run's deltas.
       const MemoEntry& e = it->second;
-      *memsys_ = e.postState;
-      memsys_->translateInFlight(clock_ - e.preClock);
-      std::uint64_t credit[5] = {0, lvlBefore[1] - e.preLevels[1],
-                                 lvlBefore[2] - e.preLevels[2],
-                                 lvlBefore[3] - e.preLevels[3],
-                                 lvlBefore[4] - e.preLevels[4]};
-      memsys_->creditReplayedAccesses(credit,
-                                      prefetchBefore - e.prePrefetches);
+      memsys_.applyDelta(e.postState);
+      memsys_.translateInFlight(clock_ - e.preClock);
+      memsys_.creditReplayedAccesses(e.levelDeltas, e.prefetchDelta);
       clock_ += e.coreCycles + static_cast<std::uint64_t>(kCallOverhead);
       stateKeyCache_ = e.postStateKey;
       ++replayedInvokes_;
@@ -169,8 +162,15 @@ InvokeResult SimBackend::invoke(KernelHandle& kernel,
     }
   }
 
+  std::uint64_t levelsBefore[5] = {0};
+  for (int level = 1; level < 5; ++level) {
+    levelsBefore[level] =
+        memsys_.levelCount(static_cast<sim::MemLevel>(level));
+  }
+  std::uint64_t prefetchesBefore = memsys_.prefetchCount();
+
   std::vector<std::uint64_t> addrs = planAddresses(request, 0);
-  sim::CoreSim core(config_, *memsys_, request.core);
+  sim::CoreSim core(config_, memsys_, request.core);
   if (options_.steadyState) {
     sim::SteadyStateOptions ss;
     ss.enabled = true;
@@ -186,13 +186,20 @@ InvokeResult SimBackend::invoke(KernelHandle& kernel,
   out.iterations = r.iterations;
 
   if (options_.memoize && memo_.size() < kMaxMemoEntries) {
-    MemoEntry memo{r.coreCycles,
-                   preClock,
-                   {0, lvlBefore[1], lvlBefore[2], lvlBefore[3], lvlBefore[4]},
-                   prefetchBefore,
-                   stateKey(),
-                   *memsys_,
-                   out};
+    MemoEntry memo;
+    memo.coreCycles = r.coreCycles;
+    memo.preClock = preClock;
+    for (int level = 1; level < 5; ++level) {
+      memo.levelDeltas[level] =
+          memsys_.levelCount(static_cast<sim::MemLevel>(level)) -
+          levelsBefore[level];
+    }
+    memo.prefetchDelta = memsys_.prefetchCount() - prefetchesBefore;
+    // The delta holds every set changed since the pre-state fingerprint, so
+    // it is taken before the post fingerprint clears the change marks.
+    memo.postState = memsys_.captureDelta();
+    memo.postStateKey = stateKey();
+    memo.result = out;
     memo_.emplace(memoKey, std::move(memo));
   }
   return out;
@@ -275,12 +282,12 @@ InvokeResult SimBackend::invokeOpenMp(KernelHandle& kernel,
 }
 
 void SimBackend::reset() {
-  // Full machine reset (fresh memory system, clock at 0), not just a cache
-  // flush: the campaign runner resets before every variant and relies on
-  // results being bit-identical regardless of which worker ran what before.
-  // That contract extends to memoized results — they describe the previous
-  // machine and must not survive into the cold one.
-  memsys_ = std::make_unique<sim::MemorySystem>(config_);
+  // Full machine reset (memory system back to its freshly built state,
+  // clock at 0): the campaign runner resets before every variant and relies
+  // on results being bit-identical regardless of which worker ran what
+  // before. That contract extends to memoized results — they describe the
+  // previous machine and must not survive into the cold one.
+  memsys_.clearCaches();
   clock_ = 0;
   memo_.clear();
   stateKeyCache_.reset();

@@ -21,9 +21,9 @@ struct SimBackendOptions {
   bool steadyState = true;
 
   /// Warm-invoke memoization: every simulated invoke is recorded together
-  /// with a snapshot of the machine state it produced; an identical invoke
-  /// starting from a fingerprint-equal machine state replays the recorded
-  /// result and restores the snapshot instead of re-simulating.
+  /// with the machine state it changed; an identical invoke starting from a
+  /// fingerprint-equal machine state replays the recorded result and writes
+  /// that change back instead of re-simulating.
   bool memoize = true;
 };
 
@@ -66,7 +66,10 @@ class SimBackend final : public Backend {
 
   /// Access to the shared memory system (tests and cache-statistics
   /// benches).
-  sim::MemorySystem& memory() { return *memsys_; }
+  sim::MemorySystem& memory() { return memsys_; }
+
+  /// Simulated core cycle the next invoke starts at.
+  std::uint64_t clock() const { return clock_; }
 
   /// Number of invokes served from the warm-invoke memo since construction
   /// or the last reset()/setMachine() (observability for tests and bench).
@@ -87,17 +90,17 @@ class SimBackend final : public Backend {
   /// fingerprint). Because simulation is deterministic and translation-
   /// invariant, hitting the same key from a fingerprint-equal machine
   /// state must reproduce this result bit for bit — so replay returns
-  /// `result` and restores the recorded post-state snapshot, shifted
-  /// forward by the elapsed clock difference. Warm protocols commonly
-  /// settle into short state cycles (period 1 or 2), so a small table
-  /// rather than a single slot.
+  /// `result` and applies the recorded post-state delta, shifted forward
+  /// by the elapsed clock difference. Warm protocols commonly settle into
+  /// short state cycles (period 1 or 2), so a small table rather than a
+  /// single slot.
   struct MemoEntry {
     std::uint64_t coreCycles = 0;
     std::uint64_t preClock = 0;     // clock_ when the invoke started
-    std::uint64_t preLevels[5] = {0, 0, 0, 0, 0};
-    std::uint64_t prePrefetches = 0;
-    std::uint64_t postStateKey = 0;  // fingerprint of postState at its clock
-    sim::MemorySystem postState;     // full machine snapshot after the run
+    std::uint64_t levelDeltas[5] = {0, 0, 0, 0, 0};  // statistics it added
+    std::uint64_t prefetchDelta = 0;
+    std::uint64_t postStateKey = 0;  // fingerprint after the run, at its clock
+    sim::MemorySystem::Delta postState;  // what the run changed
     InvokeResult result;
   };
 
@@ -116,18 +119,18 @@ class SimBackend final : public Backend {
 
   sim::MachineConfig config_;
   SimBackendOptions options_;
-  std::unique_ptr<sim::MemorySystem> memsys_;
+  sim::MemorySystem memsys_;
   std::uint64_t clock_ = 0;
 
   /// hash(invoke key, pre-state fingerprint) -> recorded invoke. Bounded:
   /// warm protocols need only transient + cycle length entries (a handful);
   /// the cap just guards against adversarial request streams filling RAM
-  /// with machine snapshots.
+  /// with state deltas.
   static constexpr std::size_t kMaxMemoEntries = 32;
   std::map<std::uint64_t, MemoEntry> memo_;
   /// Cached memsys fingerprint at clock_; reset whenever simulation mutates
   /// the machine, set to the recorded post fingerprint on replays (which
-  /// restore a snapshotted state whose fingerprint is known).
+  /// restore a recorded state whose fingerprint is known).
   std::optional<std::uint64_t> stateKeyCache_;
   /// Fork and OpenMP runs use fresh runners — pure functions of
   /// (config, program, request) — so their memo needs no fingerprint.

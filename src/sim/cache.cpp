@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace microtools::sim {
 
@@ -19,17 +20,20 @@ CacheLevel::CacheLevel(std::uint64_t sizeBytes, int ways, int lineBytes)
   }
   sets_ = lines / static_cast<std::uint64_t>(ways);
   ways_storage_.resize(sets_ * static_cast<std::uint64_t>(ways));
+  journalFlags_.resize(sets_);
+  setHash_.resize(sets_);
 }
 
 bool CacheLevel::lookup(std::uint64_t lineAddr) {
   ++clock_;
   std::uint64_t set = setIndex(lineAddr);
   std::uint64_t tag = tagOf(lineAddr);
-  Way* base = &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
+  Way* base = setBase(set);
   for (int w = 0; w < ways_; ++w) {
     if (base[w].valid && base[w].tag == tag) {
       base[w].lastUse = clock_;
       ++hits_;
+      mark(set);
       return true;
     }
   }
@@ -40,7 +44,7 @@ bool CacheLevel::lookup(std::uint64_t lineAddr) {
 bool CacheLevel::contains(std::uint64_t lineAddr) const {
   std::uint64_t set = setIndex(lineAddr);
   std::uint64_t tag = tagOf(lineAddr);
-  const Way* base = &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
+  const Way* base = setBase(set);
   for (int w = 0; w < ways_; ++w) {
     if (base[w].valid && base[w].tag == tag) return true;
   }
@@ -51,7 +55,8 @@ std::uint64_t CacheLevel::insert(std::uint64_t lineAddr) {
   ++clock_;
   std::uint64_t set = setIndex(lineAddr);
   std::uint64_t tag = tagOf(lineAddr);
-  Way* base = &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
+  Way* base = setBase(set);
+  mark(set);
   for (int w = 0; w < ways_; ++w) {
     if (base[w].valid && base[w].tag == tag) {
       base[w].lastUse = clock_;  // already present: refresh
@@ -85,10 +90,11 @@ std::uint64_t CacheLevel::insert(std::uint64_t lineAddr) {
 bool CacheLevel::invalidate(std::uint64_t lineAddr) {
   std::uint64_t set = setIndex(lineAddr);
   std::uint64_t tag = tagOf(lineAddr);
-  Way* base = &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
+  Way* base = setBase(set);
   for (int w = 0; w < ways_; ++w) {
     if (base[w].valid && base[w].tag == tag) {
       base[w].valid = false;
+      mark(set);
       return true;
     }
   }
@@ -96,30 +102,92 @@ bool CacheLevel::invalidate(std::uint64_t lineAddr) {
 }
 
 void CacheLevel::clear() {
-  for (Way& w : ways_storage_) w.valid = false;
+  for (std::uint64_t set : journal_) {
+    std::fill_n(setBase(set), ways_, Way{});
+    journalFlags_[set] = 0;
+    setHash_[set] = 0;
+  }
+  journal_.clear();
+  digest_ = 0;
   clock_ = 0;
   hits_ = 0;
   misses_ = 0;
 }
 
-void CacheLevel::hashState(hash::Fnv1a& h) const {
-  h.u64(sets_).u64(static_cast<std::uint64_t>(ways_));
-  std::vector<const Way*> valid;
-  valid.reserve(static_cast<std::size_t>(ways_));
+void CacheLevel::byRecency(std::uint64_t set,
+                           std::vector<const Way*>& out) const {
+  const Way* base = setBase(set);
+  out.clear();
+  for (int w = 0; w < ways_; ++w) {
+    if (base[w].valid) out.push_back(&base[w]);
+  }
+  // Oldest first: the victim scan and every future hit depend only on this
+  // ordering, never on the absolute lastUse values.
+  std::sort(out.begin(), out.end(), [](const Way* a, const Way* b) {
+    return a->lastUse < b->lastUse;
+  });
+}
+
+std::uint64_t CacheLevel::hashSet(std::uint64_t set,
+                                  std::vector<const Way*>& scratch) const {
+  byRecency(set, scratch);
+  if (scratch.empty()) return 0;  // empty sets hash as absent
+  hash::Fnv1a h;
+  h.u64(set).u64(scratch.size());
+  for (const Way* w : scratch) h.u64(w->tag);
+  // Finalize (murmur3 fmix64) so that the per-set hashes, which digests
+  // combine by addition, carry no FNV structure into the sum.
+  std::uint64_t v = h.value();
+  v ^= v >> 33;
+  v *= 0xff51afd7ed558ccdull;
+  v ^= v >> 33;
+  v *= 0xc4ceb9fe1a85ec53ull;
+  v ^= v >> 33;
+  return v;
+}
+
+std::uint64_t CacheLevel::digest() {
+  std::vector<const Way*> scratch;
+  for (std::uint64_t set : journal_) {
+    if (!(journalFlags_[set] & kChanged)) continue;
+    digest_ -= setHash_[set];
+    setHash_[set] = hashSet(set, scratch);
+    digest_ += setHash_[set];
+    journalFlags_[set] = kJournaled;
+  }
+  return digest_;
+}
+
+std::uint64_t CacheLevel::hashState() const {
+  std::vector<const Way*> scratch;
+  std::uint64_t sum = 0;
   for (std::uint64_t set = 0; set < sets_; ++set) {
-    const Way* base = &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
-    valid.clear();
-    for (int w = 0; w < ways_; ++w) {
-      if (base[w].valid) valid.push_back(&base[w]);
+    sum += hashSet(set, scratch);
+  }
+  return sum;
+}
+
+void CacheLevel::saveChanged(std::vector<std::uint64_t>& image) const {
+  std::vector<const Way*> valid;
+  for (std::uint64_t set : journal_) {
+    if (!(journalFlags_[set] & kChanged)) continue;
+    byRecency(set, valid);
+    image.push_back(set);
+    image.push_back(valid.size());
+    for (const Way* w : valid) image.push_back(w->tag);
+  }
+}
+
+void CacheLevel::restore(const std::vector<std::uint64_t>& image) {
+  for (std::size_t i = 0; i < image.size();) {
+    std::uint64_t set = image[i];
+    std::uint64_t valid = image[i + 1];
+    i += 2;
+    Way* base = setBase(set);
+    for (std::uint64_t w = 0; w < static_cast<std::uint64_t>(ways_); ++w) {
+      base[w] = w < valid ? Way{image[i++], ++clock_, true} : Way{};
     }
-    if (valid.empty()) continue;  // empty sets hash as absent
-    // Recency order (oldest first): the victim scan and every future hit
-    // depend only on this ordering, never on the absolute lastUse values.
-    std::sort(valid.begin(), valid.end(), [](const Way* a, const Way* b) {
-      return a->lastUse < b->lastUse;
-    });
-    h.u64(set).u64(valid.size());
-    for (const Way* w : valid) h.u64(w->tag);
+    mark(set);
   }
 }
 

@@ -12,20 +12,16 @@ MemorySystem::MemorySystem(const MachineConfig& config) : config_(config) {
   }
   for (int c = 0; c < config_.totalCores(); ++c) {
     cores_.push_back(CorePrivate{
+        {},
         CacheLevel(config_.l1.sizeBytes, config_.l1.ways, config_.lineBytes),
-        CacheLevel(config_.l2.sizeBytes, config_.l2.ways, config_.lineBytes),
-        0,
-        ~0ull,
-        0,
-        {}});
+        CacheLevel(config_.l2.sizeBytes, config_.l2.ways, config_.lineBytes)});
   }
   for (int s = 0; s < config_.sockets; ++s) {
-    Socket socket{
-        CacheLevel(config_.l3.sizeBytes, config_.l3.ways, config_.lineBytes),
-        std::vector<std::uint64_t>(
-            static_cast<std::size_t>(config_.memChannelsPerSocket), 0),
-        0};
-    sockets_.push_back(std::move(socket));
+    sockets_.push_back(Socket{
+        {std::vector<std::uint64_t>(
+             static_cast<std::size_t>(config_.memChannelsPerSocket), 0),
+         0},
+        CacheLevel(config_.l3.sizeBytes, config_.l3.ways, config_.lineBytes)});
   }
   l3LatencyCycles_ = config_.nsToCoreCycles(config_.l3.latencyNs);
   memLatencyCycles_ = config_.nsToCoreCycles(config_.memLatencyNs);
@@ -240,15 +236,12 @@ void MemorySystem::touch(int coreId, std::uint64_t addr, std::uint64_t bytes) {
 }
 
 void MemorySystem::clearCaches() {
-  for (CorePrivate& core : cores_) {
-    core.l1.clear();
-    core.l2.clear();
-    core.l2PortFree = 0;
-    core.lastMissLine = ~0ull;
-    core.streak = 0;
-    core.pendingFills.clear();
+  forEachCache(*this, [](CacheLevel& cache) { cache.clear(); });
+  for (CorePrivate& core : cores_) static_cast<CoreState&>(core) = {};
+  for (Socket& socket : sockets_) {
+    std::fill(socket.channelFree.begin(), socket.channelFree.end(), 0);
+    socket.l3PortFree = 0;
   }
-  for (Socket& socket : sockets_) socket.l3.clear();
   for (auto& c : levelCounts_) c = 0;
   prefetches_ = 0;
 }
@@ -257,15 +250,27 @@ std::uint64_t MemorySystem::levelCount(MemLevel level) const {
   return levelCounts_[static_cast<int>(level)];
 }
 
-std::uint64_t MemorySystem::stateFingerprint(std::uint64_t clock) const {
+std::uint64_t MemorySystem::stateFingerprint(std::uint64_t clock) {
+  hash::Fnv1a h;
+  forEachCache(*this, [&h](CacheLevel& cache) { h.u64(cache.digest()); });
+  hashScalarState(h, clock);
+  return h.value();
+}
+
+std::uint64_t MemorySystem::referenceFingerprint(std::uint64_t clock) const {
+  hash::Fnv1a h;
+  forEachCache(*this,
+               [&h](const CacheLevel& cache) { h.u64(cache.hashState()); });
+  hashScalarState(h, clock);
+  return h.value();
+}
+
+void MemorySystem::hashScalarState(hash::Fnv1a& h, std::uint64_t clock) const {
   // Busy-times in the past are equivalent to "free now": every consumer
   // computes max(cycle, free), so any value <= clock behaves like clock.
   auto rel = [clock](std::uint64_t t) { return t > clock ? t - clock : 0; };
-  hash::Fnv1a h;
   h.u64(cores_.size()).u64(sockets_.size());
   for (const CorePrivate& core : cores_) {
-    core.l1.hashState(h);
-    core.l2.hashState(h);
     h.u64(rel(core.l2PortFree));
     h.u64(core.lastMissLine);
     h.u64(static_cast<std::uint64_t>(core.streak));
@@ -278,7 +283,6 @@ std::uint64_t MemorySystem::stateFingerprint(std::uint64_t clock) const {
     }
   }
   for (const Socket& socket : sockets_) {
-    socket.l3.hashState(h);
     h.u64(rel(socket.l3PortFree));
     h.u64(socket.channelFree.size());
     for (std::uint64_t f : socket.channelFree) h.u64(rel(f));
@@ -287,7 +291,31 @@ std::uint64_t MemorySystem::stateFingerprint(std::uint64_t clock) const {
   for (const HomeRange& r : homeRanges_) {
     h.u64(r.base).u64(r.size).u64(static_cast<std::uint64_t>(r.socket));
   }
-  return h.value();
+}
+
+MemorySystem::Delta MemorySystem::captureDelta() const {
+  Delta delta;
+  forEachCache(*this, [&delta](const CacheLevel& cache) {
+    cache.saveChanged(delta.sets.emplace_back());
+  });
+  delta.cores.assign(cores_.begin(), cores_.end());
+  delta.sockets.assign(sockets_.begin(), sockets_.end());
+  return delta;
+}
+
+void MemorySystem::applyDelta(const Delta& delta) {
+  if (delta.cores.size() != cores_.size() ||
+      delta.sockets.size() != sockets_.size()) {
+    throw McError("memory delta was captured on a different machine");
+  }
+  auto image = delta.sets.begin();
+  forEachCache(*this, [&image](CacheLevel& cache) { cache.restore(*image++); });
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    static_cast<CoreState&>(cores_[c]) = delta.cores[c];
+  }
+  for (std::size_t s = 0; s < sockets_.size(); ++s) {
+    static_cast<SocketState&>(sockets_[s]) = delta.sockets[s];
+  }
 }
 
 void MemorySystem::creditReplayedAccesses(const std::uint64_t levelDeltas[5],

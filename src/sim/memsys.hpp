@@ -6,6 +6,7 @@
 
 #include "sim/arch.hpp"
 #include "sim/cache.hpp"
+#include "support/hash.hpp"
 
 namespace microtools::sim {
 
@@ -27,6 +28,21 @@ struct AccessResult {
 /// MachineConfig converts uncore nanosecond latencies at construction so a
 /// core-frequency change (Figure 13) rescales exactly the off-core part.
 class MemorySystem {
+  // Everything per core and per socket besides the caches: small enough
+  // that fingerprints hash it and memo deltas copy it whole.
+  struct CoreState {
+    std::uint64_t l2PortFree = 0;  // L2->L1 fill bandwidth
+    // Stream prefetcher state.
+    std::uint64_t lastMissLine = ~0ull;
+    int streak = 0;
+    // Lines being prefetched into L2: line -> arrival cycle.
+    std::map<std::uint64_t, std::uint64_t> pendingFills;
+  };
+  struct SocketState {
+    std::vector<std::uint64_t> channelFree;
+    std::uint64_t l3PortFree = 0;  // shared L3 read bandwidth
+  };
+
  public:
   explicit MemorySystem(const MachineConfig& config);
 
@@ -55,7 +71,10 @@ class MemorySystem {
   /// `coreId` without accounting any time (test/warm-up helper).
   void touch(int coreId, std::uint64_t addr, std::uint64_t bytes);
 
-  /// Drops all cached state and statistics (channel clocks keep advancing).
+  /// Returns the system to its freshly built state: drops all cached
+  /// lines, pending fills, prefetcher streaks, port and channel busy times
+  /// and statistics (home-socket declarations stay). Costs in proportion to
+  /// the cache sets touched since the last clear, not to the machine size.
   void clearCaches();
 
   /// Per-level access counters (demand accesses, both loads and stores).
@@ -72,8 +91,30 @@ class MemorySystem {
   /// respective clocks respond identically to identical future access
   /// streams — the foundation of SimBackend's warm-invoke memoization.
   /// Statistics (levelCounts, prefetch and hit/miss counters) are excluded:
-  /// they never influence timing.
-  std::uint64_t stateFingerprint(std::uint64_t clock) const;
+  /// they never influence timing. Each cache rehashes only the sets changed
+  /// since the previous call (CacheLevel::digest).
+  std::uint64_t stateFingerprint(std::uint64_t clock);
+
+  /// stateFingerprint() recomputed from every cache set: the reference the
+  /// incremental fingerprint is tested against.
+  std::uint64_t referenceFingerprint(std::uint64_t clock) const;
+
+  /// What an invoke may have changed, captured right after it ran: the
+  /// cache sets changed since the last stateFingerprint() call plus the
+  /// small per-core and per-socket state (busy times, prefetcher streaks,
+  /// pending fills).
+  struct Delta {
+    std::vector<std::vector<std::uint64_t>> sets;  ///< per cache level
+    std::vector<CoreState> cores;
+    std::vector<SocketState> sockets;
+  };
+
+  Delta captureDelta() const;
+
+  /// Writes a captured delta back in place. Only sound onto a state whose
+  /// fingerprint equals the one taken before the delta's changes began:
+  /// every set outside the delta then already matches.
+  void applyDelta(const Delta& delta);
 
   /// Credits `count` L1 demand hits to the statistics without simulating
   /// them — used when CoreSim extrapolates a steady-state loop tail (the
@@ -102,22 +143,25 @@ class MemorySystem {
   int socketOfCore(int coreId) const;
 
  private:
-  struct CorePrivate {
+  struct CorePrivate : CoreState {
     CacheLevel l1;
     CacheLevel l2;
-    std::uint64_t l2PortFree = 0;  // L2->L1 fill bandwidth
-    // Stream prefetcher state.
-    std::uint64_t lastMissLine = ~0ull;
-    int streak = 0;
-    // Lines being prefetched into L2: line -> arrival cycle.
-    std::map<std::uint64_t, std::uint64_t> pendingFills;
   };
 
-  struct Socket {
+  struct Socket : SocketState {
     CacheLevel l3;
-    std::vector<std::uint64_t> channelFree;
-    std::uint64_t l3PortFree = 0;  // shared L3 read bandwidth
   };
+
+  template <class Self, class F>
+  static void forEachCache(Self& self, F&& f) {
+    for (auto& core : self.cores_) {
+      f(core.l1);
+      f(core.l2);
+    }
+    for (auto& socket : self.sockets_) f(socket.l3);
+  }
+
+  void hashScalarState(hash::Fnv1a& h, std::uint64_t clock) const;
 
   std::uint64_t lineOf(std::uint64_t addr) const {
     return addr / static_cast<std::uint64_t>(config_.lineBytes);

@@ -131,6 +131,13 @@ struct Geometry {
   int ways;
 };
 
+// gtest_discover_tests names each case after the printed parameter; without
+// this printer it would dump the raw bytes, padding included, which differ
+// from run to run.
+void PrintTo(const Geometry& g, std::ostream* os) {
+  *os << "{size=" << g.size << ", ways=" << g.ways << "}";
+}
+
 class CacheGeometry : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(CacheGeometry, CapacityIsExact) {
@@ -178,6 +185,87 @@ TEST(Cache, RandomizedLruMatchesReferenceModel) {
       if (list.size() == 4) list.pop_back();
     }
     list.insert(list.begin(), line);
+  }
+}
+
+TEST(Cache, DigestSeesRecencyOrderNotClock) {
+  CacheLevel a(128, 2, 64);
+  CacheLevel b(128, 2, 64);
+  CacheLevel c(128, 2, 64);
+  EXPECT_EQ(a.digest(), 0u);  // empty sets hash as absent
+  a.insert(10);
+  a.insert(20);
+  b.lookup(99);  // a miss: moves b's clock, not its state
+  b.insert(10);
+  b.insert(20);
+  c.insert(20);
+  c.insert(10);
+  EXPECT_EQ(a.digest(), b.digest());
+  EXPECT_NE(a.digest(), c.digest());
+  c.lookup(20);  // now 10 is older than 20, as in a
+  EXPECT_EQ(a.digest(), c.digest());
+}
+
+TEST(Cache, IncrementalDigestMatchesFullRecomputation) {
+  // Random hits, misses, inserts, invalidates and clears; at random points
+  // the incremental digest must equal hashState(), which rehashes every
+  // set from scratch.
+  CacheLevel cache(4096, 4, 64);  // 16 sets x 4 ways
+  Rng rng(20120910);
+  for (int step = 0; step < 20000; ++step) {
+    std::uint64_t line = rng.nextBelow(160);
+    switch (rng.nextBelow(8)) {
+      case 0:
+      case 1:
+      case 2:
+        if (!cache.lookup(line)) cache.insert(line);
+        break;
+      case 3:
+      case 4:
+        cache.insert(line);
+        break;
+      case 5:
+        cache.invalidate(line);
+        break;
+      case 6:
+        cache.contains(line);
+        break;
+      default:
+        if (rng.nextBelow(100) == 0) cache.clear();
+        break;
+    }
+    if (rng.nextBelow(10) == 0) {
+      ASSERT_EQ(cache.digest(), cache.hashState()) << "step " << step;
+    }
+  }
+}
+
+TEST(Cache, RestoredSetsBehaveLikeTheRecordedOnes) {
+  // `copy` stays at the digest point while `cache` moves on; writing the
+  // changed sets back into `copy` must make the two indistinguishable: the
+  // same digest and the same hits and victims from then on.
+  CacheLevel cache(2048, 4, 64);  // 8 sets
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) cache.insert(rng.nextBelow(64));
+  cache.digest();
+  CacheLevel copy = cache;
+  for (int i = 0; i < 300; ++i) {
+    std::uint64_t line = rng.nextBelow(64);
+    if (!cache.lookup(line)) cache.insert(line);
+    if (i % 7 == 0) cache.invalidate(rng.nextBelow(64));
+  }
+  std::vector<std::uint64_t> image;
+  cache.saveChanged(image);
+  copy.restore(image);
+  EXPECT_EQ(copy.digest(), cache.digest());
+  EXPECT_EQ(copy.hashState(), cache.hashState());
+  for (int i = 0; i < 500; ++i) {
+    std::uint64_t line = rng.nextBelow(64);
+    bool hit = cache.lookup(line);
+    ASSERT_EQ(copy.lookup(line), hit) << i;
+    if (!hit) {
+      ASSERT_EQ(copy.insert(line), cache.insert(line)) << i;
+    }
   }
 }
 

@@ -312,6 +312,27 @@ TEST(SimBackend, ForkValidation) {
                McError);
 }
 
+TEST(SimBackend, RejectsCoresOutsideTheMachine) {
+  // --pin is not range-checked before it reaches the backend; a core past
+  // the machine used to index per-core caches out of bounds.
+  auto backend = makeBackend();
+  auto kernel = backend->load(loadStoreProgram(1).asmText, "microkernel");
+  for (int core : {12, -1, 100000}) {
+    KernelRequest request = basicRequest(4096);
+    request.core = core;
+    try {
+      backend->invoke(*kernel, request);
+      ADD_FAILURE() << "core " << core << " accepted";
+    } catch (const McError& e) {
+      EXPECT_NE(std::string(e.what()).find("has 12 cores"), std::string::npos)
+          << e.what();
+    }
+  }
+  KernelRequest last = basicRequest(4096);
+  last.core = 11;
+  EXPECT_GT(backend->invoke(*kernel, last).iterations, 0u);
+}
+
 TEST(SimBackend, OpenMpReturnsAllIterations) {
   auto backend = makeBackend();
   auto kernel = backend->load(loadStoreProgram(1).asmText, "microkernel");

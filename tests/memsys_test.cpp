@@ -2,6 +2,7 @@
 
 #include "sim/memsys.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace microtools::sim {
 namespace {
@@ -196,6 +197,91 @@ TEST(MemSys, FrequencyScalingChangesOffcoreCycles) {
   std::uint64_t tFast = msFast.load(0, 0x7000, 8, 0).completeCycle;
   std::uint64_t tSlow = msSlow.load(0, 0x7000, 8, 0).completeCycle;
   EXPECT_GT(tFast, tSlow);  // more core cycles at the higher clock
+}
+
+/// Drives a seeded random mix of loads, stores, touches, L1 refreshes and
+/// clears over two cores on different sockets; `check` runs at random
+/// points with the current cycle.
+template <class Check>
+void randomTraffic(MemorySystem& ms, std::uint64_t seed, int steps,
+                   Check check) {
+  const int cores[2] = {0, ms.config().coresPerSocket};
+  Rng rng(seed);
+  std::uint64_t cycle = 0;
+  std::uint64_t cursor = 0x100000;
+  for (int step = 0; step < steps; ++step) {
+    int core = cores[rng.nextBelow(2)];
+    // Half the accesses continue a sequential stream (trains the
+    // prefetcher), half land anywhere in 1 MiB (evicts from L1 and L2).
+    cursor = rng.nextBelow(2) == 0
+                 ? cursor + 64
+                 : 0x100000 + rng.nextBelow(1 << 14) * 64;
+    std::uint64_t addr = cursor + rng.nextBelow(64);
+    int bytes = 1 << rng.nextBelow(5);
+    switch (rng.nextBelow(10)) {
+      case 0:
+        ms.touch(core, addr, rng.nextBelow(512));
+        break;
+      case 1:
+        ms.refreshL1(core, addr, bytes);
+        break;
+      case 2:
+        if (rng.nextBelow(40) == 0) ms.clearCaches();
+        break;
+      case 3:
+      case 4:
+      case 5:
+        ms.store(core, addr, bytes, cycle);
+        break;
+      default:
+        ms.load(core, addr, bytes, cycle);
+        break;
+    }
+    cycle += rng.nextBelow(40);
+    if (rng.nextBelow(25) == 0) check(cycle);
+  }
+}
+
+TEST(MemSys, IncrementalFingerprintMatchesFullRecomputation) {
+  MemorySystem ms(testConfig());
+  int checks = 0;
+  randomTraffic(ms, 20120910, 6000, [&](std::uint64_t cycle) {
+    ASSERT_EQ(ms.stateFingerprint(cycle), ms.referenceFingerprint(cycle))
+        << "check " << checks;
+    ++checks;
+  });
+  EXPECT_GT(checks, 100);
+  EXPECT_GT(ms.prefetchCount(), 0u);
+}
+
+TEST(MemSys, ClearCachesEqualsFreshlyBuilt) {
+  MemorySystem fresh(testConfig());
+  MemorySystem ms(testConfig());
+  std::uint64_t last = 0;
+  randomTraffic(ms, 7, 3000, [&](std::uint64_t cycle) {
+    ms.stateFingerprint(cycle);  // interleave digests with the traffic
+    last = cycle;
+  });
+  ms.clearCaches();
+  for (std::uint64_t clock : {std::uint64_t{0}, last}) {
+    EXPECT_EQ(ms.stateFingerprint(clock), fresh.stateFingerprint(clock));
+    EXPECT_EQ(ms.referenceFingerprint(clock),
+              fresh.referenceFingerprint(clock));
+  }
+  for (MemLevel level :
+       {MemLevel::L1, MemLevel::L2, MemLevel::L3, MemLevel::Ram}) {
+    EXPECT_EQ(ms.levelCount(level), 0u);
+  }
+  EXPECT_EQ(ms.prefetchCount(), 0u);
+  // Same behavior from here on, not just the same digest.
+  for (int i = 0; i < 64; ++i) {
+    std::uint64_t addr = 0x100000 + static_cast<std::uint64_t>(i) * 64;
+    AccessResult a = ms.load(0, addr, 8, 100 + static_cast<std::uint64_t>(i));
+    AccessResult b =
+        fresh.load(0, addr, 8, 100 + static_cast<std::uint64_t>(i));
+    ASSERT_EQ(a.completeCycle, b.completeCycle) << i;
+    ASSERT_EQ(a.level, b.level) << i;
+  }
 }
 
 }  // namespace

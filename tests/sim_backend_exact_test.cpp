@@ -37,17 +37,41 @@ KernelRequest requestFor(std::uint64_t bytes, std::uint64_t offset,
   return request;
 }
 
+/// One invoke's result plus where it left the machine: a replayed invoke
+/// must leave the same statistics and the same fingerprint (at the same
+/// clock) as simulating it would have. The full-scan reference fingerprint
+/// is compared too, so a set the incremental digest missed still shows.
+struct Observed {
+  InvokeResult result;
+  std::uint64_t levels[4] = {0, 0, 0, 0};
+  std::uint64_t prefetches = 0;
+  std::uint64_t fingerprint = 0;
+  std::uint64_t reference = 0;
+};
+
+Observed observe(SimBackend& backend, const InvokeResult& result) {
+  Observed o;
+  o.result = result;
+  sim::MemorySystem& memory = backend.memory();
+  for (int level = 0; level < 4; ++level) {
+    o.levels[level] = memory.levelCount(static_cast<sim::MemLevel>(level + 1));
+  }
+  o.prefetches = memory.prefetchCount();
+  o.fingerprint = memory.stateFingerprint(backend.clock());
+  o.reference = memory.referenceFingerprint(backend.clock());
+  return o;
+}
+
 /// Runs `invokes` identical calls on a fresh backend; returns the results.
-std::vector<InvokeResult> runSequence(const std::string& asmText,
-                                      const KernelRequest& request,
-                                      SimBackendOptions options,
-                                      int invokes,
-                                      std::uint64_t* replayed = nullptr) {
+std::vector<Observed> runSequence(const std::string& asmText,
+                                  const KernelRequest& request,
+                                  SimBackendOptions options, int invokes,
+                                  std::uint64_t* replayed = nullptr) {
   SimBackend backend(sim::nehalemX5650DualSocket(), options);
   auto kernel = backend.load(asmText, "microkernel");
-  std::vector<InvokeResult> out;
+  std::vector<Observed> out;
   for (int i = 0; i < invokes; ++i) {
-    out.push_back(backend.invoke(*kernel, request));
+    out.push_back(observe(backend, backend.invoke(*kernel, request)));
   }
   if (replayed) *replayed = backend.replayedInvokes();
   return out;
@@ -60,6 +84,24 @@ void expectBitIdentical(const std::vector<InvokeResult>& fast,
     // Exact comparison on purpose: same bits, not "close enough".
     EXPECT_EQ(fast[i].tscCycles, exact[i].tscCycles) << "invoke " << i;
     EXPECT_EQ(fast[i].iterations, exact[i].iterations) << "invoke " << i;
+  }
+}
+
+void expectBitIdentical(const std::vector<Observed>& fast,
+                        const std::vector<Observed>& exact) {
+  ASSERT_EQ(fast.size(), exact.size());
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    EXPECT_EQ(fast[i].result.tscCycles, exact[i].result.tscCycles)
+        << "invoke " << i;
+    EXPECT_EQ(fast[i].result.iterations, exact[i].result.iterations)
+        << "invoke " << i;
+    for (int level = 0; level < 4; ++level) {
+      EXPECT_EQ(fast[i].levels[level], exact[i].levels[level])
+          << "invoke " << i << " level L" << level + 1;
+    }
+    EXPECT_EQ(fast[i].prefetches, exact[i].prefetches) << "invoke " << i;
+    EXPECT_EQ(fast[i].fingerprint, exact[i].fingerprint) << "invoke " << i;
+    EXPECT_EQ(fast[i].reference, exact[i].reference) << "invoke " << i;
   }
 }
 
@@ -80,16 +122,17 @@ TEST(SimBackendExactness, LoadStoreKernelsAllSizesAndAlignments) {
       {figure6Xml(8, 8, false), 16, 32},  {movssLoadXml(1, 1), 4, 0},
       {movssLoadXml(2, 2), 4, 4},
   };
-  // 16 KiB stays L1-resident (steady-state extrapolation territory); 1 MiB
-  // streams through L2/L3 (warm-invoke memoization territory).
-  std::vector<std::uint64_t> sizes = {16 * 1024, 1 << 20};
+  // 16 KiB stays L1-resident (steady-state extrapolation territory);
+  // 512 KiB lives in L3 and 1 MiB streams through L2/L3 (warm-invoke
+  // memoization territory).
+  std::vector<std::uint64_t> sizes = {16 * 1024, 512 * 1024, 1 << 20};
   for (const Case& c : cases) {
     std::string asmText = generate(c.xml).at(0).asmText;
     for (std::uint64_t bytes : sizes) {
       KernelRequest request = requestFor(bytes, c.offset, c.elementBytes);
-      std::vector<InvokeResult> fast =
+      std::vector<Observed> fast =
           runSequence(asmText, request, SimBackendOptions{}, 12);
-      std::vector<InvokeResult> exact =
+      std::vector<Observed> exact =
           runSequence(asmText, request, exactOptions(), 12);
       SCOPED_TRACE("bytes=" + std::to_string(bytes) +
                    " offset=" + std::to_string(c.offset));
@@ -184,10 +227,52 @@ TEST(SimBackendExactness, WarmInvokeMemoizationFires) {
   std::string asmText = generate(figure6Xml(1, 1, false)).at(0).asmText;
   KernelRequest request = requestFor(1 << 20, 0, 16);
   std::uint64_t replayed = 0;
-  std::vector<InvokeResult> fast =
+  std::vector<Observed> fast =
       runSequence(asmText, request, SimBackendOptions{}, 12, &replayed);
-  std::vector<InvokeResult> exact =
+  std::vector<Observed> exact =
       runSequence(asmText, request, exactOptions(), 12);
+  expectBitIdentical(fast, exact);
+  EXPECT_GT(replayed, 0u);
+}
+
+TEST(SimBackendExactness, InterleavedRequestsAndReset) {
+  // Two kernels, two sizes and two cores on different sockets take turns,
+  // so every replay writes its recorded delta onto a machine state that
+  // other requests produced; then the same sequence runs again after
+  // reset(), which must behave like a freshly built machine.
+  std::string a = generate(figure6Xml(2, 2, false)).at(0).asmText;
+  std::string b = generate(movssLoadXml(1, 1)).at(0).asmText;
+  struct Step {
+    bool kernelB;
+    KernelRequest request;
+  };
+  std::vector<Step> steps;
+  for (int round = 0; round < 6; ++round) {
+    KernelRequest small = requestFor(16 * 1024, 0, 16);
+    KernelRequest large = requestFor(512 * 1024, 4, 4);
+    large.core = 6;  // first core of the second socket
+    steps.push_back({false, small});
+    steps.push_back({true, large});
+    steps.push_back({round % 2 == 1, small});
+  }
+  auto runAll = [&](SimBackendOptions options, std::uint64_t* replayed) {
+    SimBackend backend(sim::nehalemX5650DualSocket(), options);
+    auto ka = backend.load(a, "microkernel");
+    auto kb = backend.load(b, "microkernel");
+    std::vector<Observed> out;
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) backend.reset();
+      for (const Step& step : steps) {
+        KernelHandle& kernel = step.kernelB ? *kb : *ka;
+        out.push_back(observe(backend, backend.invoke(kernel, step.request)));
+      }
+    }
+    if (replayed) *replayed = backend.replayedInvokes();
+    return out;
+  };
+  std::uint64_t replayed = 0;
+  std::vector<Observed> fast = runAll(SimBackendOptions{}, &replayed);
+  std::vector<Observed> exact = runAll(exactOptions(), nullptr);
   expectBitIdentical(fast, exact);
   EXPECT_GT(replayed, 0u);
 }
@@ -207,9 +292,25 @@ TEST(SimBackendReset, ResetWorkerReproducesColdNumbers) {
 
   SimBackend worker(sim::nehalemX5650DualSocket());
   auto kWorker = worker.load(asmText, "microkernel");
-  for (int i = 0; i < 8; ++i) worker.invoke(*kWorker, request);  // warm it up
+  KernelRequest otherSocket = request;
+  otherSocket.core = 7;
+  for (int i = 0; i < 8; ++i) {  // warm both sockets up
+    worker.invoke(*kWorker, request);
+    worker.invoke(*kWorker, otherSocket);
+  }
   worker.reset();
   EXPECT_EQ(worker.replayedInvokes(), 0u);
+  // reset() empties the machine in place; it must equal a freshly built one.
+  sim::MemorySystem machine(sim::nehalemX5650DualSocket());
+  EXPECT_EQ(worker.clock(), 0u);
+  EXPECT_EQ(worker.memory().stateFingerprint(0), machine.stateFingerprint(0));
+  EXPECT_EQ(worker.memory().referenceFingerprint(0),
+            machine.referenceFingerprint(0));
+  for (sim::MemLevel level : {sim::MemLevel::L1, sim::MemLevel::L2,
+                              sim::MemLevel::L3, sim::MemLevel::Ram}) {
+    EXPECT_EQ(worker.memory().levelCount(level), 0u);
+  }
+  EXPECT_EQ(worker.memory().prefetchCount(), 0u);
   // A reset worker is indistinguishable from a brand-new backend: the first
   // invokes replay the cold-machine transient, not the memoized warm state.
   std::vector<InvokeResult> after;

@@ -30,6 +30,14 @@ struct BranchCase {
   std::uint64_t expectedIterations;
 };
 
+// gtest_discover_tests names each case after the printed parameter; without
+// this printer it would dump the raw bytes, including the address of `test`,
+// which differ from run to run.
+void PrintTo(const BranchCase& c, std::ostream* os) {
+  *os << "{" << c.test << ", n=" << c.n
+      << ", iterations=" << c.expectedIterations << "}";
+}
+
 class BranchSemantics : public ::testing::TestWithParam<BranchCase> {};
 
 TEST_P(BranchSemantics, LoopTripCountExact) {

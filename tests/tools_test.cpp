@@ -127,6 +127,21 @@ TEST_F(ToolsTest, LauncherMeasuresGeneratedKernelOnSim) {
   EXPECT_NE(r.output.find(",257,"), std::string::npos) << r.output;
 }
 
+TEST_F(ToolsTest, LauncherRejectsPinOutsideTheSimulatedMachine) {
+  ASSERT_EQ(run(std::string(MT_MICROCREATOR_PATH) + " " + xmlPath_ +
+                " --output " + outDir_)
+                .exitCode,
+            0);
+  for (const char* pin : {"12", "-1"}) {
+    CommandResult r = run(std::string(MT_MICROLAUNCHER_PATH) + " --input " +
+                          outDir_ + "/loadstore_u1_seqL.s" +
+                          " --array-bytes 16384 --inner 2 --outer 3 --pin " +
+                          pin);
+    EXPECT_EQ(r.exitCode, 1) << r.output;
+    EXPECT_NE(r.output.find("has 12 cores"), std::string::npos) << r.output;
+  }
+}
+
 TEST_F(ToolsTest, LauncherNativeBackend) {
   ASSERT_EQ(run(std::string(MT_MICROCREATOR_PATH) + " " + xmlPath_ +
                 " --output " + outDir_)

@@ -216,6 +216,14 @@ struct OkCase {
   const char* root;
 };
 
+// gtest_discover_tests names each case after the printed parameter; without
+// this printer it would dump the two string addresses, which differ from run
+// to run.
+void PrintTo(const OkCase& c, std::ostream* os) {
+  *os << "{" << ::testing::PrintToString(c.text) << ", "
+      << ::testing::PrintToString(c.root) << "}";
+}
+
 class XmlAccepts : public ::testing::TestWithParam<OkCase> {};
 
 TEST_P(XmlAccepts, Parses) {
