@@ -413,11 +413,11 @@ bool PassManager::runStreaming(
         } catch (...) {
           local.error = std::current_exception();
         }
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          slots[i] = std::move(local);
-          ready[i] = 1;
-        }
+        // Notify under the lock: once the waiter sees the last slot ready it
+        // returns and destroys `slotDone`, which must not still be in use.
+        std::lock_guard<std::mutex> lock(mutex);
+        slots[i] = std::move(local);
+        ready[i] = 1;
         slotDone.notify_all();
       });
     }

@@ -142,7 +142,7 @@ class Backend {
     return handles;
   }
 
-  /// Ahead-of-time preparation for the campaign's pipelined compile stage:
+  /// Ahead-of-time preparation for the campaign's compile stage:
   /// maps source units to equivalent units that loadSource() can consume
   /// more cheaply. The native backend batch-compiles the units with one
   /// compiler invocation and returns "so" units pointing at the shared
@@ -151,7 +151,7 @@ class Backend {
   /// The default (and the simulator's) preparation is the identity — loads
   /// are already cheap. A unit that cannot be prepared comes back
   /// unchanged: the measuring worker's own loadSource() surfaces the
-  /// diagnostic, keeping error reporting identical to the unpipelined path.
+  /// diagnostic, keeping error reporting identical to inline compilation.
   virtual std::vector<SourceUnit> prepareBatch(std::vector<SourceUnit> units) {
     return units;
   }

@@ -4,13 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "support/error.hpp"
 #include "support/log.hpp"
@@ -24,53 +22,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// One pipeline item: a variant whose source has been prepared (e.g. batch
-/// compiled to an "so" unit by the native backend) and is ready to measure.
-struct PreparedVariant {
-  std::size_t index = 0;  ///< position in the campaign's variant vector
-  SourceUnit unit;
-};
-
-/// Bounded MPMC queue between the compile producers and the measurement
-/// workers. push() blocks while the queue is at capacity (bounding how far
-/// compilation can run ahead); pop() blocks until an item arrives or every
-/// producer has finished, then returns false.
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-  void push(PreparedVariant item) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    notFull_.wait(lock, [this] { return items_.size() < capacity_; });
-    items_.push_back(std::move(item));
-    notEmpty_.notify_one();
-  }
-
-  bool pop(PreparedVariant& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    notEmpty_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    notFull_.notify_one();
-    return true;
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-    notEmpty_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable notFull_;
-  std::condition_variable notEmpty_;
-  std::deque<PreparedVariant> items_;
-  std::size_t capacity_;
-  bool closed_ = false;
-};
+SourceUnit unitOf(const CampaignVariant& v) {
+  return SourceUnit{v.kind, v.source, v.functionName};
+}
 
 /// Maps the campaign's launch geometry onto the verifier's context so the
 /// MT-MEM bounds/alignment rules check exactly what the backends will
@@ -194,15 +148,10 @@ CampaignRunner::CampaignRunner(BackendFactory factory, CampaignOptions options)
   }
 }
 
-VariantResult CampaignRunner::runOne(Backend& backend,
-                                     const CampaignVariant& variant,
-                                     std::size_t sequence,
-                                     const KernelRequest& request) {
-  VariantResult result;
-  result.sequence = sequence;
-  result.round = options_.round;
-  result.name = variant.name;
-
+void CampaignRunner::runOne(Backend& backend, const CampaignVariant& variant,
+                            const SourceUnit& unit,
+                            const KernelRequest& request,
+                            VariantResult& result) {
   DeadlineCheck outOfTime;
   if (options_.variantTimeoutMs > 0) {
     auto deadline = std::chrono::steady_clock::now() +
@@ -235,8 +184,7 @@ VariantResult CampaignRunner::runOne(Backend& backend,
     try {
       backend.reset();  // every variant starts from post-construction state
       std::unique_ptr<KernelHandle> kernel =
-          backend.loadSource(variant.kind, variant.source,
-                             variant.functionName);
+          backend.loadSource(unit.kind, unit.text, unit.functionName);
       AdaptiveMeasurement am = measureKernelAdaptive(
           backend, *kernel, request, protocol, policy, outOfTime);
       result.measurement = am.measurement;
@@ -252,11 +200,11 @@ VariantResult CampaignRunner::runOne(Backend& backend,
       }
       result.status = "ok";
       result.error.clear();
-      return result;
+      return;
     } catch (const TimeoutError& e) {
       result.status = "timeout";
       result.error = e.message();
-      return result;  // out of time: retrying would also time out
+      return;  // out of time: retrying would also time out
     } catch (const ExecutionError& e) {
       result.status = "error";
       result.error = e.message();
@@ -264,10 +212,9 @@ VariantResult CampaignRunner::runOne(Backend& backend,
     } catch (const McError& e) {
       result.status = "error";
       result.error = e.message();
-      return result;  // structural error: a retry cannot change the outcome
+      return;  // structural error: a retry cannot change the outcome
     }
   }
-  return result;
 }
 
 bool CampaignRunner::resolveUpfront(const CampaignVariant& variant,
@@ -316,10 +263,13 @@ bool CampaignRunner::resolveUpfront(const CampaignVariant& variant,
                 "); measuring anyway (--verify=warn)");
     }
   }
-  if (options_.cacheLookup && options_.cacheLookup(variant, r)) {
-    r.sequence = sequence;
-    r.round = options_.round;
-    r.name = variant.name;
+  VariantResult hit = r;  // the probe sees this row's identity
+  if (options_.cacheLookup && options_.cacheLookup(variant, hit)) {
+    // Re-label the cached payload with this run's identity.
+    hit.sequence = sequence;
+    hit.round = options_.round;
+    hit.name = variant.name;
+    r = std::move(hit);
     r.cached = true;
     r.verify = verdict;
     annotate(r);
@@ -327,10 +277,6 @@ bool CampaignRunner::resolveUpfront(const CampaignVariant& variant,
     if (sink) sink->append(r);
     return true;
   }
-  r = VariantResult{};  // a miss may have partially filled the result
-  r.sequence = sequence;
-  r.round = options_.round;
-  r.name = variant.name;
   r.verify = std::move(verdict);
   annotate(r);
   return false;
@@ -339,287 +285,164 @@ bool CampaignRunner::resolveUpfront(const CampaignVariant& variant,
 std::vector<VariantResult> CampaignRunner::run(
     const std::vector<CampaignVariant>& variants,
     const KernelRequest& request, CampaignCsvSink* sink) {
-  std::vector<VariantResult> results(variants.size());
-  if (variants.empty()) return results;
-
-  // Pre-flight verification runs before the cache probe: a variant the
-  // strict gate rejects must never be measured, even from cache, and its
-  // verdict must reach the CSV.
-  verify::VerifyOptions verifyOptions;
-  if (options_.verify != VerifyMode::Off) {
-    verifyOptions = verifyOptionsFor(request);
-  }
-
-  // Resolve resume skips, verification skips and cache hits up front: when
-  // everything is already known, no backend is ever constructed — a fully
-  // cached rerun performs zero backend invocations.
-  std::vector<std::size_t> pending;
-  pending.reserve(variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    if (!resolveUpfront(variants[i], i, verifyOptions, results[i], sink)) {
-      pending.push_back(i);
-    }
-  }
-  if (pending.empty()) return results;
-
-  int jobs = std::min<int>(options_.jobs, static_cast<int>(pending.size()));
-  std::vector<std::unique_ptr<Backend>> backends;
-  backends.reserve(static_cast<std::size_t>(jobs));
-  for (int w = 0; w < jobs; ++w) {
-    std::unique_ptr<Backend> backend = factory_(w);
-    if (!backend) throw McError("backend factory returned null");
-    backends.push_back(std::move(backend));
-  }
-
-  // Measures variant `i` (whose source may have been rewritten by a compile
-  // producer) on the given worker's backend. The cache is always written
-  // with the ORIGINAL variant: a prepared "so" unit is a process-local
-  // artifact and must never leak into the content-addressed cache key.
-  std::vector<char> measured(variants.size(), 0);
-
-  auto measureTask = [this, &variants, &results, &backends, &request, sink,
-                      &measured](int worker, std::size_t i,
-                                 const CampaignVariant& prepared) {
-    KernelRequest workerRequest = request;
-    if (options_.pinWorkers) workerRequest.core = worker;
-    // Pre-flight annotations (verify verdict, static prediction) were
-    // resolved upfront on the campaign thread; carry them across runOne's
-    // fresh result.
-    std::string verdict = std::move(results[i].verify);
-    double predCpiLo = results[i].predCpiLo;
-    std::string predBound = std::move(results[i].predBound);
-    results[i] = runOne(*backends[static_cast<std::size_t>(worker)], prepared,
-                        i, workerRequest);
-    results[i].verify = std::move(verdict);
-    results[i].predCpiLo = predCpiLo;
-    results[i].predBound = std::move(predBound);
-    measured[i] = 1;
-    if (results[i].status == "ok" && options_.cacheStore) {
-      options_.cacheStore(variants[i], results[i]);
-    }
-    // The observer, like the cache, always sees the ORIGINAL variant — a
-    // prepared "so" unit is a process-local artifact.
-    if (options_.rowObserver) options_.rowObserver(variants[i], results[i]);
-    if (sink) sink->append(results[i]);
-  };
-
-  threads::ThreadPool pool(jobs);
-
-  if (options_.compileJobs <= 0) {
-    for (std::size_t i : pending) {
-      pool.submit([&measureTask, &variants, i](int worker) {
-        measureTask(worker, i, variants[i]);
-      });
-    }
-    pool.wait();
-    return results;
-  }
-
-  // Pipelined path: compile producers run prepareBatch() on groups of
-  // variants and stream the prepared units — individually, for worker load
-  // balance — through a bounded queue into the measurement pool. A variant
-  // whose preparation failed arrives unchanged and fails (with the real
-  // diagnostic) in the measurement worker's own loadSource, exactly like
-  // the unpipelined path.
-  std::size_t batchSize = static_cast<std::size_t>(options_.compileBatch);
-  std::size_t batches = (pending.size() + batchSize - 1) / batchSize;
-  int compileJobs =
-      std::min<int>(options_.compileJobs, static_cast<int>(batches));
-
-  std::vector<std::unique_ptr<Backend>> compileBackends;
-  compileBackends.reserve(static_cast<std::size_t>(compileJobs));
-  for (int j = 0; j < compileJobs; ++j) {
-    std::unique_ptr<Backend> backend = factory_(jobs + j);
-    if (!backend) throw McError("backend factory returned null");
-    compileBackends.push_back(std::move(backend));
-  }
-
-  // Capacity bounds the compile lead: roughly one in-flight batch per
-  // producer plus a batch of ready work per measurement worker.
-  BoundedQueue queue(batchSize *
-                     static_cast<std::size_t>(compileJobs + jobs));
-  std::atomic<std::size_t> nextBatch{0};
-  std::atomic<int> liveProducers{compileJobs};
-
-  // The last producer to exit — on ANY path, including an exception that
-  // escapes the loop — must close the queue, or the measurement workers
-  // block in pop() forever. A destructor is the only spot that covers every
-  // exit, so the decrement lives in a scope guard rather than after the
-  // loop.
-  struct ProducerExit {
-    std::atomic<int>& live;
-    BoundedQueue& queue;
-    ~ProducerExit() {
-      if (live.fetch_sub(1) == 1) queue.close();
-    }
-  };
-
-  std::vector<std::thread> producers;
-  producers.reserve(static_cast<std::size_t>(compileJobs));
-  for (int j = 0; j < compileJobs; ++j) {
-    producers.emplace_back([&, j] {
-      ProducerExit exitGuard{liveProducers, queue};
-      Backend& backend = *compileBackends[static_cast<std::size_t>(j)];
-      std::size_t b;
-      while ((b = nextBatch.fetch_add(1)) < batches) {
-        std::size_t begin = b * batchSize;
-        std::size_t end = std::min(begin + batchSize, pending.size());
-        std::vector<SourceUnit> units;
-        units.reserve(end - begin);
-        for (std::size_t k = begin; k < end; ++k) {
-          const CampaignVariant& v = variants[pending[k]];
-          units.push_back(SourceUnit{v.kind, v.source, v.functionName});
-        }
-        std::vector<SourceUnit> prepared;
-        try {
-          prepared = backend.prepareBatch(units);
-        } catch (const McError& e) {
-          // prepareBatch contractually degrades instead of throwing; treat
-          // a throwing backend the same way — measure the originals.
-          log::warn("prepareBatch failed (" + e.message() +
-                    "); measuring unprepared sources");
-          prepared = units;
-        } catch (const std::exception& e) {
-          // Not just McError: bad_alloc, system_error from thread machinery,
-          // anything — an uncaught exception here used to skip the producer
-          // accounting and deadlock every measurement worker in pop().
-          log::warn(std::string("prepareBatch failed (") + e.what() +
-                    "); measuring unprepared sources");
-          prepared = units;
-        } catch (...) {
-          log::warn("prepareBatch failed (unknown exception); measuring "
-                    "unprepared sources");
-          prepared = units;
-        }
-        if (prepared.size() != units.size()) prepared = std::move(units);
-        for (std::size_t k = begin; k < end; ++k) {
-          queue.push(PreparedVariant{pending[k],
-                                     std::move(prepared[k - begin])});
-        }
-      }
-    });
-  }
-
-  for (int w = 0; w < jobs; ++w) {
-    pool.submit([&measureTask, &variants, &queue](int worker) {
-      PreparedVariant item;
-      while (queue.pop(item)) {
-        CampaignVariant prepared = variants[item.index];
-        prepared.kind = std::move(item.unit.kind);
-        prepared.source = std::move(item.unit.text);
-        prepared.functionName = std::move(item.unit.functionName);
-        measureTask(worker, item.index, prepared);
-      }
-    });
-  }
-  pool.wait();
-  for (std::thread& producer : producers) producer.join();
-
-  // A producer that died before pushing its items leaves variants that no
-  // worker ever saw; their pre-initialized results still read status "ok".
-  // Surface them as errors (with a CSV row) instead of returning phantom
-  // successes.
-  for (std::size_t i : pending) {
-    if (measured[i]) continue;
-    std::string verdict = std::move(results[i].verify);
-    double predCpiLo = results[i].predCpiLo;
-    std::string predBound = std::move(results[i].predBound);
-    results[i] = VariantResult{};
-    results[i].sequence = i;
-    results[i].round = options_.round;
-    results[i].name = variants[i].name;
-    results[i].verify = std::move(verdict);
-    results[i].predCpiLo = predCpiLo;
-    results[i].predBound = std::move(predBound);
-    results[i].status = "error";
-    results[i].error = "never measured: compile pipeline aborted";
-    if (options_.rowObserver) options_.rowObserver(variants[i], results[i]);
-    if (sink) sink->append(results[i]);
-  }
-  return results;
+  return runStream(vectorSource(variants), request, sink);
 }
 
 std::vector<VariantResult> CampaignRunner::runStream(
     const VariantSource& source, const KernelRequest& request,
     CampaignCsvSink* sink) {
   if (!source) throw McError("streaming campaign requires a variant source");
-  if (options_.compileJobs > 0) {
-    log::warn(
-        "streaming campaign ignores --compile-jobs: batching compiles would "
-        "re-serialize the stream; each worker compiles inline");
-  }
-  verify::VerifyOptions verifyOptions;
-  if (options_.verify != VerifyMode::Off) {
-    verifyOptions = verifyOptionsFor(request);
-  }
+  const verify::VerifyOptions verifyOptions = verifyOptionsFor(request);
 
-  // Deques, not vectors: worker tasks hold references to their own slots
-  // while the campaign thread keeps appending, and deque growth never
-  // invalidates references to existing elements.
-  std::deque<CampaignVariant> variants;
-  std::deque<VariantResult> results;
+  // One heap slot per pulled variant. A task keeps its slot's address while
+  // the calling thread goes on appending, so growing `slots` never moves
+  // anything a worker reads.
+  struct Slot {
+    CampaignVariant variant;
+    VariantResult result;
+    bool pending = false;  ///< dispatched and not yet measured
+  };
+  std::vector<std::unique_ptr<Slot>> slots;
 
-  // Pool and backends come into existence on the first cache miss, so a
-  // fully cached stream constructs zero backends — the same guarantee the
-  // batch path gets from its upfront resolve. Worker w's backend is built
-  // by that worker on its first task; the factory itself is serialized (a
-  // test factory may count constructions in non-atomic state).
-  std::unique_ptr<threads::ThreadPool> pool;
+  // Each pool's backends are built on the calling thread when the pool
+  // starts (at the first miss, at the first compile group), so a fully
+  // cached run builds none. Measurement workers own [0, jobs), compile
+  // workers [jobs, jobs + compileJobs).
+  const int jobs = options_.jobs;
   std::vector<std::unique_ptr<Backend>> backends(
-      static_cast<std::size_t>(options_.jobs));
-  std::mutex factoryMutex;
-
-  auto measureTask = [this, &variants, &results, &backends, &factoryMutex,
-                      &request, sink](int worker, std::size_t i) {
-    Backend* backend = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(factoryMutex);
-      auto& slot = backends[static_cast<std::size_t>(worker)];
-      if (!slot) slot = factory_(worker);
-      backend = slot.get();
+      static_cast<std::size_t>(jobs + options_.compileJobs));
+  auto startPool = [&](int first, int workers) {
+    for (int w = first; w < first + workers; ++w) {
+      std::unique_ptr<Backend>& backend = backends[static_cast<std::size_t>(w)];
+      backend = factory_(w);
+      if (!backend) throw McError("backend factory returned null");
     }
-    std::string verdict = std::move(results[i].verify);
-    double predCpiLo = results[i].predCpiLo;
-    std::string predBound = std::move(results[i].predBound);
-    if (backend == nullptr) {
-      results[i] = VariantResult{};
-      results[i].sequence = i;
-      results[i].round = options_.round;
-      results[i].name = variants[i].name;
-      results[i].status = "error";
-      results[i].error = "backend factory returned null";
-    } else {
-      KernelRequest workerRequest = request;
-      if (options_.pinWorkers) workerRequest.core = worker;
-      results[i] = runOne(*backend, variants[i], i, workerRequest);
-    }
-    results[i].verify = std::move(verdict);
-    results[i].predCpiLo = predCpiLo;
-    results[i].predBound = std::move(predBound);
-    if (results[i].status == "ok" && options_.cacheStore) {
-      options_.cacheStore(variants[i], results[i]);
-    }
-    if (options_.rowObserver) options_.rowObserver(variants[i], results[i]);
-    if (sink) sink->append(results[i]);
+    return std::make_unique<threads::ThreadPool>(workers);
+  };
+  std::mutex mutex;  // guards `failure`
+  std::exception_ptr failure;
+  std::atomic<bool> failed{false};
+  auto fail = [&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (!failure) failure = std::current_exception();
+    failed = true;
   };
 
-  std::size_t i = 0;
-  for (std::optional<CampaignVariant> next; (next = source());) {
-    variants.push_back(std::move(*next));
-    results.emplace_back();
-    if (!resolveUpfront(variants.back(), i, verifyOptions, results.back(),
-                        sink)) {
-      if (!pool) {
-        pool = std::make_unique<threads::ThreadPool>(options_.jobs);
+  std::unique_ptr<threads::ThreadPool> measurePool;
+  std::unique_ptr<threads::ThreadPool> compilePool;
+
+  // Measures slot `s` from `unit`: its own source, or the unit the compile
+  // stage prepared from it. Everything else (the repetition override, the
+  // cache, the row observer) sees the ORIGINAL variant: a prepared "so"
+  // unit is a process-local artifact and must never leak into the
+  // content-addressed cache key.
+  auto measure = [&](int worker, Slot& s, const SourceUnit& unit) {
+    if (failed) return;
+    try {
+      KernelRequest workerRequest = request;
+      if (options_.pinWorkers) workerRequest.core = worker;
+      runOne(*backends[static_cast<std::size_t>(worker)], s.variant, unit,
+             workerRequest, s.result);
+      s.pending = false;
+      if (s.result.status == "ok" && options_.cacheStore) {
+        options_.cacheStore(s.variant, s.result);
       }
-      pool->submit([&measureTask, i](int worker) { measureTask(worker, i); });
+      if (options_.rowObserver) options_.rowObserver(s.variant, s.result);
+      if (sink) sink->append(s.result);
+    } catch (...) {
+      fail();
     }
-    ++i;
+  };
+
+  // The compile stage: one prepareBatch() call per group of consecutive
+  // misses, then each unit goes to the measurement pool on its own, for
+  // worker load balance. A group whose preparation failed is measured
+  // unprepared and fails, with the real diagnostic, in the measurement
+  // worker's own loadSource.
+  auto compile = [&](int worker, const std::vector<Slot*>& group) {
+    if (failed) return;
+    try {
+      Backend& backend = *backends[static_cast<std::size_t>(jobs + worker)];
+      std::vector<SourceUnit> units;
+      units.reserve(group.size());
+      for (const Slot* s : group) units.push_back(unitOf(s->variant));
+      std::vector<SourceUnit> prepared;
+      try {
+        prepared = backend.prepareBatch(units);
+      } catch (const std::exception& e) {
+        log::warn(std::string("prepareBatch failed (") + e.what() +
+                  "); measuring unprepared sources");
+      } catch (...) {
+        log::warn("prepareBatch failed (unknown exception); measuring "
+                  "unprepared sources");
+      }
+      if (prepared.size() != units.size()) prepared = std::move(units);
+      for (std::size_t k = 0; k < group.size(); ++k) {
+        measurePool->submit(
+            [&measure, s = group[k], unit = std::move(prepared[k])](int w) {
+              measure(w, *s, unit);
+            });
+      }
+    } catch (...) {
+      fail();
+    }
+  };
+
+  // Resolve each variant on the calling thread as it arrives; a miss goes
+  // to the measurement pool, or joins the compile stage's next group.
+  std::vector<Slot*> batch;
+  auto flush = [&] {
+    if (batch.empty()) return;
+    if (!compilePool) compilePool = startPool(jobs, options_.compileJobs);
+    compilePool->submit(
+        [&compile, group = std::move(batch)](int w) { compile(w, group); });
+    batch.clear();
+  };
+  try {
+    for (std::optional<CampaignVariant> next; !failed && (next = source());) {
+      slots.push_back(std::make_unique<Slot>());
+      Slot& s = *slots.back();
+      if (resolveUpfront(*next, slots.size() - 1, verifyOptions, s.result,
+                         sink)) {
+        continue;  // only a dispatched slot keeps its variant
+      }
+      s.variant = std::move(*next);
+      s.pending = true;
+      if (!measurePool) measurePool = startPool(0, jobs);
+      if (options_.compileJobs == 0) {
+        measurePool->submit(
+            [&measure, &s](int w) { measure(w, s, unitOf(s.variant)); });
+        continue;
+      }
+      batch.push_back(&s);
+      if (batch.size() == static_cast<std::size_t>(options_.compileBatch)) {
+        flush();
+      }
+    }
+    flush();
+  } catch (...) {
+    fail();
   }
-  if (pool) pool->wait();
-  return std::vector<VariantResult>(
-      std::make_move_iterator(results.begin()),
-      std::make_move_iterator(results.end()));
+  // Compile tasks submit into the measurement pool, so drain them first.
+  if (compilePool) compilePool->wait();
+  if (measurePool) measurePool->wait();
+  if (failure) std::rethrow_exception(failure);
+
+  std::vector<VariantResult> results;
+  results.reserve(slots.size());
+  for (const std::unique_ptr<Slot>& s : slots) {
+    if (s->pending) {
+      // Every task measures its slot or fails the campaign, so this is a
+      // guard: surface a lost variant as an error row, never as a phantom
+      // success.
+      s->result.status = "error";
+      s->result.error = "never measured: campaign dispatch aborted";
+      if (options_.rowObserver) options_.rowObserver(s->variant, s->result);
+      if (sink) sink->append(s->result);
+    }
+    results.push_back(std::move(s->result));
+  }
+  return results;
 }
 
 std::vector<std::string> CampaignRunner::csvHeader() {
@@ -752,19 +575,28 @@ std::vector<CampaignVariant> loadCampaignDirectory(
 }
 
 std::vector<CampaignVariant> variantsFromPrograms(
-    const std::vector<creator::GeneratedProgram>& programs) {
+    std::vector<creator::GeneratedProgram> programs) {
   std::vector<CampaignVariant> variants;
   variants.reserve(programs.size());
-  for (const creator::GeneratedProgram& p : programs) {
+  for (creator::GeneratedProgram& p : programs) {
     CampaignVariant v;
-    v.name = p.name;
+    v.name = std::move(p.name);
     v.kind = "asm";
-    v.source = p.asmText;
-    v.functionName = p.functionName;
-    v.contentId = p.contentId;
+    v.source = std::move(p.asmText);
+    v.functionName = std::move(p.functionName);
+    v.contentId = std::move(p.contentId);
     variants.push_back(std::move(v));
   }
   return variants;
+}
+
+VariantSource vectorSource(const std::vector<CampaignVariant>& variants,
+                           std::size_t offset) {
+  return [&variants, offset, next = std::size_t{0}]() mutable
+         -> std::optional<CampaignVariant> {
+    if (next >= variants.size()) return std::nullopt;
+    return variants[(offset + next++) % variants.size()];
+  };
 }
 
 namespace {

@@ -80,10 +80,10 @@ using Predictor =
 using RepetitionOverride = std::function<int(const CampaignVariant& variant)>;
 
 /// Row hook: fires once per terminal row exactly where the CSV sink would
-/// append it (cache hits, verify-strict skips, measured rows, pipeline
-/// phantom rows — but NOT resume skips, whose rows already exist in the file
-/// being resumed). Campaign-service workers use it to forward every row to
-/// the daemon's canonical merge. Called from worker threads; must be
+/// append it (cache hits, verify-strict skips, measured rows, "never
+/// measured" guard rows — but NOT resume skips, whose rows already exist in
+/// the file being resumed). Campaign-service workers use it to forward every
+/// row to the daemon's canonical merge. Called from worker threads; must be
 /// thread-safe.
 using RowObserver = std::function<void(const CampaignVariant& variant,
                                        const VariantResult& row)>;
@@ -108,13 +108,14 @@ struct CampaignOptions {
   int variantTimeoutMs = 0;    ///< cooperative per-variant timeout (0: none)
   bool pinWorkers = false;     ///< pin worker w's requests to core w (native)
 
-  /// Pipelined compilation: `compileJobs` producer threads call
-  /// Backend::prepareBatch() on groups of `compileBatch` variants and feed a
-  /// bounded queue ahead of the measurement workers, so compiling variant
-  /// N+k overlaps measuring variant N and pinned workers never block on the
-  /// compiler. 0 disables the pipeline (each worker compiles inline, the
-  /// pre-PR-4 behavior). Results are bit-identical either way: preparation
-  /// only transforms sources, never measures.
+  /// The compile stage: `compileJobs` threads call Backend::prepareBatch()
+  /// on each group of `compileBatch` consecutive cache misses and hand the
+  /// prepared units to the measurement workers one by one, so compiling
+  /// variant N+k overlaps measuring variant N and pinned workers never block
+  /// on the compiler. Works the same for batch and streamed campaigns. 0
+  /// turns the stage off: each measurement worker compiles inline. Results
+  /// are bit-identical either way: preparation only transforms sources,
+  /// never measures.
   int compileJobs = 0;
   int compileBatch = 8;  ///< variants per prepareBatch() call (>= 1)
 
@@ -152,11 +153,18 @@ struct CampaignOptions {
 /// whatever feeds them.
 using VariantSource = std::function<std::optional<CampaignVariant>()>;
 
-/// Creates the Backend a given worker owns for the whole campaign. Workers
-/// 0..jobs-1 are measurement workers; when the compile pipeline is on
+/// Creates the Backend a given worker owns for the whole campaign. It is
+/// called on the campaign thread when the worker's pool starts. Workers
+/// 0..jobs-1 are measurement workers; when the compile stage is on
 /// (CampaignOptions::compileJobs > 0), workers jobs..jobs+compileJobs-1 are
-/// compile producers that only ever call prepareBatch() on their backend.
+/// compile workers that only ever call prepareBatch() on their backend.
+/// Throwing, or returning null, fails the whole campaign.
 using BackendFactory = std::function<std::unique_ptr<Backend>(int worker)>;
+
+/// Pulls `variants` in order, starting at index `offset` and wrapping
+/// around (a rotated traversal). The vector must outlive the source.
+VariantSource vectorSource(const std::vector<CampaignVariant>& variants,
+                           std::size_t offset = 0);
 
 /// Streams finished variant rows to a CSV file or stream as they complete,
 /// so a crashed campaign loses nothing. Rows are appended in completion
@@ -199,21 +207,23 @@ class CampaignRunner {
   CampaignRunner(BackendFactory factory, CampaignOptions options);
 
   /// Runs every variant against `request`; optionally streams rows into
-  /// `sink` as they complete. Returns results ordered by sequence.
+  /// `sink` as they complete. Returns results ordered by sequence. This is
+  /// runStream() over vectorSource(variants).
   std::vector<VariantResult> run(const std::vector<CampaignVariant>& variants,
                                  const KernelRequest& request,
                                  CampaignCsvSink* sink = nullptr);
 
-  /// Streaming run: pulls variants from `source` as they become available
-  /// (sequence = arrival order) and dispatches cache misses to the worker
-  /// pool immediately, so measurement overlaps whatever produces the
-  /// variants. The pool and each worker's Backend are created lazily on the
-  /// first miss — a fully cached stream still constructs zero backends.
-  /// Resume skips, verification and cache hooks behave exactly as in run();
-  /// on deterministic backends the results are bit-identical to batching
-  /// the same variants through run(). The compile pipeline is not used
-  /// (compileJobs is ignored with a warning): batching compiles would
-  /// re-serialize the stream.
+  /// The campaign loop: pulls variants from `source` as they arrive
+  /// (sequence = arrival order) and resolves each on the calling thread
+  /// (resume skip, verify, predict, cache probe). A miss goes straight to
+  /// the measurement pool, or with compileJobs > 0 joins the compile
+  /// stage's next group. Pools and their backends appear on the first
+  /// miss, so a fully cached run builds none; at most 1 + jobs +
+  /// compileJobs threads run. Results are bit-identical across jobs,
+  /// compileJobs and arrival pacing on deterministic backends. A variant
+  /// that fails to load or measure is an error/timeout row; any other
+  /// exception (a throwing or null factory, a throwing hook) stops dispatch,
+  /// drains the pools and is rethrown here.
   std::vector<VariantResult> runStream(const VariantSource& source,
                                        const KernelRequest& request,
                                        CampaignCsvSink* sink = nullptr);
@@ -225,13 +235,17 @@ class CampaignRunner {
   static csv::Table toCsv(const std::vector<VariantResult>& results);
 
  private:
-  VariantResult runOne(Backend& backend, const CampaignVariant& variant,
-                       std::size_t sequence, const KernelRequest& request);
+  /// Measures `variant`, loaded from `unit`, into `result` as
+  /// resolveUpfront() primed it.
+  void runOne(Backend& backend, const CampaignVariant& variant,
+              const SourceUnit& unit, const KernelRequest& request,
+              VariantResult& result);
 
-  /// Shared upfront resolution: resume skip -> verify pre-flight -> cache
-  /// probe. Returns true when the variant is terminal without measurement
-  /// (r filled, row appended to sink where due); false leaves `r` primed
-  /// (sequence/round/name/verify) for measurement.
+  /// Per-variant resolution on the calling thread: resume skip -> verify
+  /// pre-flight -> prediction -> cache probe. Returns true when the variant
+  /// is terminal without measurement (r filled, row appended to sink where
+  /// due); false leaves `r` primed (sequence/round/name/verify/prediction)
+  /// for measurement.
   bool resolveUpfront(const CampaignVariant& variant, std::size_t sequence,
                       const verify::VerifyOptions& verifyOptions,
                       VariantResult& r, CampaignCsvSink* sink);
@@ -265,8 +279,9 @@ std::set<std::pair<std::size_t, std::string>> readCompletedVariants(
 std::set<std::pair<std::size_t, std::string>> readCompletedVariants(
     const std::string& csvPath, int round);
 
-/// Wraps a MicroCreator batch as campaign variants.
+/// Wraps a MicroCreator batch as campaign variants (moving the sources out
+/// of `programs`).
 std::vector<CampaignVariant> variantsFromPrograms(
-    const std::vector<creator::GeneratedProgram>& programs);
+    std::vector<creator::GeneratedProgram> programs);
 
 }  // namespace microtools::launcher

@@ -68,31 +68,19 @@ std::string cacheKey(const CampaignVariant& variant,
 
 namespace {
 
-/// Bounded handoff between the generation producer thread and the campaign
-/// loop in streaming mode. The producer pushes verified variants (plus the
-/// one-shot StreamInfo); the campaign thread pulls them in order.
-/// `abandoned` releases a blocked producer when the consumer unwinds early.
+/// Handoff between the generation producer thread and the campaign loop in
+/// streaming mode. The producer pushes verified variants (plus the one-shot
+/// StreamInfo); the campaign thread pulls them in order. It needs no bound:
+/// the campaign keeps every variant it pulled until the run ends anyway.
 struct StreamChannel {
   std::mutex mutex;
   std::condition_variable cv;
   std::deque<CampaignVariant> queue;
-  std::size_t capacity = 0;
   creator::PassManager::StreamInfo info;
   bool infoSet = false;
   bool closed = false;
-  bool abandoned = false;
   std::exception_ptr error;
 };
-
-CampaignVariant variantFromProgram(creator::GeneratedProgram&& p) {
-  CampaignVariant v;
-  v.name = std::move(p.name);
-  v.kind = "asm";
-  v.source = std::move(p.asmText);
-  v.functionName = std::move(p.functionName);
-  v.contentId = std::move(p.contentId);
-  return v;
-}
 
 KernelRequest buildRequest(const ExploreOptions& options, int nbVectors) {
   KernelRequest request;
@@ -151,15 +139,133 @@ CacheBinder makeCacheBinder(std::shared_ptr<MeasurementCache> cache,
   };
 }
 
-/// Builds the run's StaticAnnotator (nullptr when prediction is off); see
-/// launcher/predict.hpp for what it feeds.
-std::shared_ptr<StaticAnnotator> makeAnnotator(const ExploreOptions& options,
-                                               const KernelRequest& request) {
-  if (!options.predict) return nullptr;
-  return makeStaticAnnotator(options.arch, request);
+std::vector<CampaignVariant> collect(const VariantSource& source) {
+  std::vector<CampaignVariant> variants;
+  while (std::optional<CampaignVariant> v = source()) {
+    variants.push_back(std::move(*v));
+  }
+  return variants;
 }
 
-void tallyFullSweep(ExploreResult& out) {
+}  // namespace
+
+ExploreResult exploreVariants(const ExploreOptions& options,
+                              const VariantSource& source,
+                              const KernelRequest& request,
+                              CampaignCsvSink* sink) {
+  bool connectMode = !options.connectAddr.empty();
+  bool halving = options.search == SearchMode::Halving;
+  if (connectMode && halving) {
+    throw McError(
+        "--connect requires the full sweep: the halving planner adapts the "
+        "protocol per round, which sharded workers cannot coordinate");
+  }
+
+  BackendFactory factory = options.backendFactory;
+  if (!factory) {
+    if (options.backend != "sim") {
+      throw McError("explore backend '" + options.backend +
+                    "' requires an explicit backend factory");
+    }
+    sim::MachineConfig config = archByName(options.arch).config;
+    if (options.coreGHz) config.coreGHz = *options.coreGHz;
+    SimBackendOptions simOptions;
+    if (options.simExact) {
+      simOptions.steadyState = false;
+      simOptions.memoize = false;
+    }
+    factory = [config, simOptions](int) {
+      return std::make_unique<SimBackend>(config, simOptions);
+    };
+  }
+  std::string backendId = options.backendId;
+  if (backendId.empty()) {
+    backendId = options.backend == "sim" ? "sim:" + options.arch
+                                         : options.backend;
+    if (options.coreGHz) {
+      backendId += strings::format("@%.3fGHz", *options.coreGHz);
+    }
+    // Exact-mode results are bit-identical to fast-mode ones, but sharing a
+    // cache identity would let one serve the other's entries and make any
+    // fast-vs-exact comparison vacuous. Keep them separate.
+    if (options.backend == "sim" && options.simExact) backendId += ":exact";
+  }
+
+  ExploreResult out;
+  out.backendId = backendId;
+  out.request = request;
+
+  std::shared_ptr<MeasurementCache> cache;
+  if (options.useCache && !connectMode) {
+    // In connect mode the serve daemon owns the one shared cache; a local
+    // cache would shadow it and desynchronize the workers' hit accounting.
+    cache = std::make_shared<MeasurementCache>(options.cacheDir);
+  }
+  std::shared_ptr<StaticAnnotator> annotator;
+  if (options.predict) annotator = makeStaticAnnotator(options.arch, request);
+  CampaignOptions campaign = options.campaign;
+  installPredict(campaign, annotator);
+
+  CacheBinder bindCache;
+  if (cache) bindCache = makeCacheBinder(cache, backendId, request);
+
+  if (halving) {
+    std::vector<CampaignVariant> variants = collect(source);
+    PlannerOptions planner = options.planner;
+    if (annotator) {
+      // Static bounds seed the screening order, and provable stability caps
+      // the round-0 screening protocol (the final round runs untouched).
+      planner.predictedCpi = [annotator](const CampaignVariant& v) {
+        return annotator->predictedCpi(v);
+      };
+      planner.stable = [annotator](const CampaignVariant& v) {
+        return annotator->stable(v);
+      };
+    }
+    PlannerResult planned = runSuccessiveHalving(
+        variants, request, factory, campaign, planner, bindCache, sink);
+    out.generated = variants.size();
+    out.results = std::move(planned.results);
+    out.rounds = std::move(planned.rounds);
+    out.budgetExhausted = planned.budgetExhausted;
+    out.stopReason = std::move(planned.stopReason);
+    out.fullFidelityVariants = planned.fullFidelityVariants;
+    out.workRepetitions = planned.workRepetitions;
+    out.measured = planned.measured;
+    out.cacheHits = planned.cacheHits;
+    out.skipped = planned.resumed;
+    out.failures = planned.failures;
+    if (cache) out.cacheTelemetry = cache->telemetry();
+    return out;
+  }
+
+  VariantSource traversal = source;
+  std::vector<CampaignVariant> variants;
+  std::shared_ptr<RemoteResultStore> remote;
+  if (connectMode) {
+    // Sharded worker: the daemon resolves every variant (cache probe or
+    // lease), and the campaign must be announced with its full variant set
+    // first. The traversal is rotated to start where the daemon's joining
+    // ordinal points, so fleet members lease disjoint stretches of the
+    // variant space instead of colliding on the same keys in lockstep. The
+    // row observer rewrites sequences back to the canonical order, so the
+    // daemon's merged CSV/report is identical whatever the local order was.
+    variants = collect(source);
+    RemoteOptions remoteOptions{options.workerName, campaign.jobs};
+    remote = bindRemoteCampaign(options.connectAddr, remoteOptions, variants,
+                                backendId, request, campaign);
+    traversal = vectorSource(variants,
+                             shardOffset(remote->ordinal(), variants.size()));
+    // Every lease must reach a worker at once: the daemon defers this
+    // worker's acquires past 2 x jobs open leases, and a half-filled compile
+    // group would hold leases the blocked calling thread never releases.
+    campaign.compileBatch = 1;
+  } else if (bindCache) {
+    bindCache(campaign);
+  }
+  CampaignRunner runner(std::move(factory), campaign);
+  out.results = runner.runStream(traversal, request, sink);
+  out.generated = out.results.size();
   for (const VariantResult& r : out.results) {
     if (r.cached) {
       ++out.cacheHits;
@@ -171,9 +277,13 @@ void tallyFullSweep(ExploreResult& out) {
     }
     if (r.status == "error" || r.status == "timeout") ++out.failures;
   }
+  if (remote) {
+    out.cacheTelemetry = remote->telemetry();
+  } else if (cache) {
+    out.cacheTelemetry = cache->telemetry();
+  }
+  return out;
 }
-
-}  // namespace
 
 ExploreResult runExplore(const ExploreOptions& options,
                          CampaignCsvSink* sink) {
@@ -192,11 +302,6 @@ ExploreResult runExplore(const ExploreOptions& options,
         "complete variant set before its first round");
   }
   bool connectMode = !options.connectAddr.empty();
-  if (connectMode && options.search == SearchMode::Halving) {
-    throw McError(
-        "--connect requires the full sweep: the halving planner adapts the "
-        "protocol per round, which sharded workers cannot coordinate");
-  }
   if (connectMode && options.stream) {
     // The campaign (its id and variant count) must be announced to the
     // daemon before the first acquire, so connect mode generates in batch;
@@ -208,57 +313,15 @@ ExploreResult runExplore(const ExploreOptions& options,
   creator::MicroCreator creator;
   creator.setGenerateJobs(options.generateJobs);
 
-  // Backend resolution is independent of the generated programs, so both
-  // the batch and the streaming path share it up front.
-  BackendFactory factory = options.backendFactory;
-  std::string backendId = options.backendId;
-  if (!factory) {
-    if (options.backend != "sim") {
-      throw McError("explore backend '" + options.backend +
-                    "' requires an explicit backend factory");
-    }
-    sim::MachineConfig config = archByName(options.arch).config;
-    if (options.coreGHz) config.coreGHz = *options.coreGHz;
-    SimBackendOptions simOptions;
-    if (options.simExact) {
-      simOptions.steadyState = false;
-      simOptions.memoize = false;
-    }
-    factory = [config, simOptions](int) {
-      return std::make_unique<SimBackend>(config, simOptions);
-    };
-  }
-  if (backendId.empty()) {
-    backendId = options.backend == "sim" ? "sim:" + options.arch
-                                         : options.backend;
-    if (options.coreGHz) {
-      backendId += strings::format("@%.3fGHz", *options.coreGHz);
-    }
-    // Exact-mode results are bit-identical to fast-mode ones, but sharing a
-    // cache identity would let one serve the other's entries and make any
-    // fast-vs-exact comparison vacuous. Keep them separate.
-    if (options.backend == "sim" && options.simExact) backendId += ":exact";
-  }
-
-  std::shared_ptr<MeasurementCache> cache;
-  if (options.useCache && !connectMode) {
-    // In connect mode the serve daemon owns the one shared cache; a local
-    // cache would shadow it and desynchronize the workers' hit accounting.
-    cache = std::make_shared<MeasurementCache>(options.cacheDir);
-  }
-
-  ExploreResult out;
-  out.backendId = backendId;
-
   if (options.stream && !connectMode) {
     // §3 as a producer: generation runs on its own thread, handing verified
-    // variants through a bounded channel into a streaming campaign, so the
-    // first measurement starts as soon as the first variant is emitted.
+    // variants through a channel into the campaign loop, so the first
+    // measurement starts as soon as the first variant is emitted.
     StreamChannel channel;
-    channel.capacity =
-        std::max<std::size_t>(64, static_cast<std::size_t>(
-                                      options.campaign.jobs) * 8);
-    std::thread producer([&creator, &description, &channel] {
+    // Declared after the channel, so leaving this scope joins the producer
+    // before the channel goes, exceptions included. The producer never
+    // blocks, so the join always returns.
+    std::jthread producer([&creator, &description, &channel] {
       try {
         creator.generateStream(
             description,
@@ -269,13 +332,9 @@ ExploreResult runExplore(const ExploreOptions& options,
               channel.cv.notify_all();
             },
             [&channel](creator::GeneratedProgram&& p) {
-              CampaignVariant v = variantFromProgram(std::move(p));
-              std::unique_lock<std::mutex> lock(channel.mutex);
-              channel.cv.wait(lock, [&channel] {
-                return channel.queue.size() < channel.capacity ||
-                       channel.abandoned;
-              });
-              if (channel.abandoned) return;  // consumer unwound; discard
+              CampaignVariant v =
+                  std::move(variantsFromPrograms({std::move(p)}).front());
+              std::lock_guard<std::mutex> lock(channel.mutex);
               channel.queue.push_back(std::move(v));
               channel.cv.notify_all();
             });
@@ -287,37 +346,21 @@ ExploreResult runExplore(const ExploreOptions& options,
       channel.closed = true;
       channel.cv.notify_all();
     });
-    // Covers every exit (including exceptions below): release a blocked
-    // producer, then join it before the channel leaves scope.
-    struct ProducerGuard {
-      StreamChannel& channel;
-      std::thread& producer;
-      ~ProducerGuard() {
-        {
-          std::lock_guard<std::mutex> lock(channel.mutex);
-          channel.abandoned = true;
-        }
-        channel.cv.notify_all();
-        if (producer.joinable()) producer.join();
-      }
-    } guard{channel, producer};
 
     creator::PassManager::StreamInfo info;
     {
+      // An empty kernel set still waits for the producer to finish, so a
+      // generation error wins over "no programs".
       std::unique_lock<std::mutex> lock(channel.mutex);
-      channel.cv.wait(lock,
-                      [&channel] { return channel.infoSet || channel.closed; });
-      if (!channel.infoSet) {
+      channel.cv.wait(lock, [&channel] {
+        return (channel.infoSet && channel.info.kernelCount > 0) ||
+               channel.closed;
+      });
+      if (!channel.infoSet || channel.info.kernelCount == 0) {
         if (channel.error) std::rethrow_exception(channel.error);
         throw McError("description generated no benchmark programs");
       }
       info = channel.info;
-    }
-    if (info.kernelCount == 0) {
-      std::unique_lock<std::mutex> lock(channel.mutex);
-      channel.cv.wait(lock, [&channel] { return channel.closed; });
-      if (channel.error) std::rethrow_exception(channel.error);
-      throw McError("description generated no benchmark programs");
     }
 
     // nbVectors comes from the pre-verification kernel shape (the emitted
@@ -329,16 +372,9 @@ ExploreResult runExplore(const ExploreOptions& options,
     int nbVectors = options.nbVectors > 0
                         ? options.nbVectors
                         : std::max(1, info.maxArrayCount);
-    KernelRequest request = buildRequest(options, nbVectors);
-    out.request = request;
-
-    CampaignOptions campaign = options.campaign;
-    installPredict(campaign, makeAnnotator(options, request));
-    if (cache) makeCacheBinder(cache, backendId, request)(campaign);
-    CampaignRunner runner(std::move(factory), campaign);
-    std::size_t streamed = 0;
-    out.results = runner.runStream(
-        [&channel, &streamed]() -> std::optional<CampaignVariant> {
+    ExploreResult out = exploreVariants(
+        options,
+        [&channel]() -> std::optional<CampaignVariant> {
           std::unique_lock<std::mutex> lock(channel.mutex);
           channel.cv.wait(lock, [&channel] {
             return !channel.queue.empty() || channel.closed;
@@ -346,20 +382,13 @@ ExploreResult runExplore(const ExploreOptions& options,
           if (channel.queue.empty()) return std::nullopt;
           CampaignVariant v = std::move(channel.queue.front());
           channel.queue.pop_front();
-          channel.cv.notify_all();
-          ++streamed;
           return v;
         },
-        request, sink);
-    {
-      // Batch parity: a generation failure fails the run, even when it
-      // struck after some variants were already measured.
-      std::lock_guard<std::mutex> lock(channel.mutex);
-      if (channel.error) std::rethrow_exception(channel.error);
-    }
-    out.generated = streamed;
-    tallyFullSweep(out);
-    if (cache) out.cacheTelemetry = cache->telemetry();
+        buildRequest(options, nbVectors), sink);
+    // Batch parity: a generation failure fails the run, even when it struck
+    // after some variants were already measured.
+    std::lock_guard<std::mutex> lock(channel.mutex);
+    if (channel.error) std::rethrow_exception(channel.error);
     return out;
   }
 
@@ -370,8 +399,6 @@ ExploreResult runExplore(const ExploreOptions& options,
   if (programs.empty()) {
     throw McError("description generated no benchmark programs");
   }
-  std::vector<CampaignVariant> variants = variantsFromPrograms(programs);
-
   int nbVectors = options.nbVectors;
   if (nbVectors <= 0) {
     // Derive the array count the kernels actually dereference.
@@ -380,76 +407,10 @@ ExploreResult runExplore(const ExploreOptions& options,
       nbVectors = std::max(nbVectors, p.arrayCount);
     }
   }
-  KernelRequest request = buildRequest(options, nbVectors);
-
-  CacheBinder bindCache;
-  if (cache) bindCache = makeCacheBinder(cache, backendId, request);
-
-  std::shared_ptr<StaticAnnotator> annotator = makeAnnotator(options, request);
-
-  out.generated = programs.size();
-  out.request = request;
-
-  if (connectMode) {
-    // Sharded worker: the daemon resolves every variant (cache probe or
-    // lease). Dispatch MUST stream per variant — the batch path resolves
-    // every variant before its pool starts, so a worker at its lease cap
-    // would sleep in `defer` with nothing draining its queue.
-    CampaignOptions campaign = options.campaign;
-    installPredict(campaign, annotator);
-    RemoteOptions remote;
-    remote.worker = options.workerName;
-    remote.jobs = campaign.jobs;
-    std::shared_ptr<RemoteResultStore> store = bindRemoteCampaign(
-        options.connectAddr, remote, variants, backendId, request, campaign);
-    CampaignRunner runner(std::move(factory), campaign);
-    // Rotated traversal: start where the daemon's joining ordinal points,
-    // so fleet members lease disjoint stretches of the variant space
-    // instead of colliding on the same keys in lockstep. The row observer
-    // rewrites sequences back to the canonical order, so the daemon's
-    // merged CSV/report is identical whatever the local order was.
-    std::size_t offset = shardOffset(store->ordinal(), variants.size());
-    std::size_t next = 0;
-    out.results = runner.runStream(
-        [&variants, &next, offset]() -> std::optional<CampaignVariant> {
-          if (next >= variants.size()) return std::nullopt;
-          return variants[(offset + next++) % variants.size()];
-        },
-        request, sink);
-    tallyFullSweep(out);
-    out.cacheTelemetry = store->telemetry();
-    return out;
-  }
-
-  if (options.search == SearchMode::Halving) {
-    CampaignOptions campaign = options.campaign;
-    PlannerOptions planner = options.planner;
-    installPredict(campaign, annotator);
-    installPlannerHooks(planner, annotator);
-    PlannerResult planned = runSuccessiveHalving(
-        variants, request, factory, campaign, planner, bindCache, sink);
-    out.results = std::move(planned.results);
-    out.rounds = std::move(planned.rounds);
-    out.budgetExhausted = planned.budgetExhausted;
-    out.stopReason = std::move(planned.stopReason);
-    out.fullFidelityVariants = planned.fullFidelityVariants;
-    out.workRepetitions = planned.workRepetitions;
-    out.measured = planned.measured;
-    out.cacheHits = planned.cacheHits;
-    out.skipped = planned.resumed;
-    out.failures = planned.failures;
-    if (cache) out.cacheTelemetry = cache->telemetry();
-    return out;
-  }
-
-  CampaignOptions campaign = options.campaign;
-  installPredict(campaign, annotator);
-  if (bindCache) bindCache(campaign);
-  CampaignRunner runner(std::move(factory), campaign);
-  out.results = runner.run(variants, request, sink);
-  tallyFullSweep(out);
-  if (cache) out.cacheTelemetry = cache->telemetry();
-  return out;
+  std::vector<CampaignVariant> variants =
+      variantsFromPrograms(std::move(programs));
+  return exploreVariants(options, vectorSource(variants),
+                         buildRequest(options, nbVectors), sink);
 }
 
 csv::Table topKReport(const std::vector<VariantResult>& results, int k) {

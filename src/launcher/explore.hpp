@@ -147,11 +147,25 @@ struct ExploreResult {
 };
 
 /// The end-to-end pipeline (§3 + §4 fused): parse the description, generate
-/// every variant in memory, resolve cache hits, measure only what is new,
-/// and stream rows into `sink` as they complete. No intermediate .s files
-/// ever touch the filesystem.
+/// every variant in memory (or stream them, with `stream`), build the
+/// kernel request, and hand both to exploreVariants(). No intermediate .s
+/// files ever touch the filesystem.
 ExploreResult runExplore(const ExploreOptions& options,
                          CampaignCsvSink* sink = nullptr);
+
+/// The campaign half of explore, shared with `microlauncher --campaign`:
+/// measures what `source` yields against `request`, streaming rows into
+/// `sink`. It owns every choice past generation: the backend factory and
+/// identity ("sim:<arch>[@GHz][:exact]" unless backendId is set), the
+/// static-prediction annotator, the result store (local cache, serve
+/// daemon, or none) and the walk (full sweep, halving, or the daemon-
+/// sharded sweep in rotated order, which rejects halving). Halving and
+/// --connect collect the whole source first. The generation and request
+/// fields of `options` are not read.
+ExploreResult exploreVariants(const ExploreOptions& options,
+                              const VariantSource& source,
+                              const KernelRequest& request,
+                              CampaignCsvSink* sink = nullptr);
 
 /// Renders the ranked report: the `k` best status-ok variants by minimum
 /// cycles/iteration (the paper's plotted metric), with CV, convergence and

@@ -90,9 +90,9 @@ cli::Parser makeLauncherParser() {
   parser.addInt("variant-timeout-ms",
                 "Campaign: per-variant wall-clock budget (0 = none)", 0);
   parser.addInt("compile-jobs",
-                "Campaign: compile-pipeline producer threads that batch-"
-                "compile variants ahead of the measurement workers (0 = "
-                "compile inline)",
+                "Campaign: compile-stage threads that batch-compile "
+                "variants ahead of the measurement workers (0 = compile "
+                "inline)",
                 0);
   parser.addInt("compile-batch",
                 "Campaign: variants grouped into one compiler invocation", 8);
@@ -145,7 +145,6 @@ cli::Parser makeLauncherParser() {
   parser.addString("arch", "Simulated machine (see --list-arch)",
                    "nehalem_x5650_2s");
   parser.addDouble("core-ghz", "Override the core frequency (DVFS study)");
-  parser.addInt("seed", "Deterministic seed", 1);
   parser.addString("csv", "Write CSV to this file instead of stdout");
   parser.addFlag("verbose", "Enable info logging");
   parser.addFlag("list-arch", "List the Table-1 architectures and exit");
@@ -214,7 +213,6 @@ LauncherOptions optionsFromParser(const cli::Parser& parser) {
   o.perfCounters = !parser.getFlag("no-perf-counters");
   o.arch = parser.getString("arch");
   if (parser.has("core-ghz")) o.coreGHz = parser.getDouble("core-ghz");
-  o.seed = static_cast<std::uint64_t>(parser.getInt("seed"));
   if (parser.has("csv")) o.csvOutput = parser.getString("csv");
   o.verbose = parser.getFlag("verbose");
   o.listArch = parser.getFlag("list-arch");

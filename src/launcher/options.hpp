@@ -11,16 +11,6 @@
 
 namespace microtools::launcher {
 
-/// Execution mode of the microlauncher tool.
-enum class LaunchMode {
-  Single,
-  AlignmentSweep,
-  Fork,
-  OpenMp,
-  Standalone,
-  Campaign
-};
-
 /// The launcher's full option surface (§4.2: "more than thirty options in
 /// the MicroLauncher tool for behavior tweaking").
 struct LauncherOptions {
@@ -70,7 +60,7 @@ struct LauncherOptions {
   double maxCv = 0.05;         ///< adaptive repetition CV target
   int maxRepetitions = 40;     ///< total outer-repetition budget per variant
   int variantTimeoutMs = 0;    ///< per-variant wall-clock budget (0 = none)
-  int compileJobs = 0;         ///< compile-pipeline producer threads (0 = off)
+  int compileJobs = 0;         ///< compile-stage threads (0 = compile inline)
   int compileBatch = 8;        ///< variants per batched compiler invocation
   std::string compileCacheDir; ///< persistent .so cache ("" = no cache)
   std::string verifyMode = "strict";  ///< pre-flight check: off|warn|strict
@@ -88,7 +78,6 @@ struct LauncherOptions {
   bool perfCounters = true;  ///< perf_event counter groups (native backend)
   std::string arch = "nehalem_x5650_2s";
   std::optional<double> coreGHz;  ///< DVFS override (Figure 13)
-  std::uint64_t seed = 1;
 
   // -- output -------------------------------------------------------------------
   std::string csvOutput;  ///< path; empty = stdout

@@ -183,14 +183,6 @@ std::map<std::string, VariantResult> readRoundResults(
   return rows;
 }
 
-namespace {
-
-bool isFreshMeasurement(const VariantResult& r) {
-  return !r.cached && r.status != "skipped";
-}
-
-}  // namespace
-
 PlannerResult runSuccessiveHalving(const std::vector<CampaignVariant>& variants,
                                    const KernelRequest& request,
                                    const BackendFactory& factory,
@@ -352,7 +344,7 @@ PlannerResult runSuccessiveHalving(const std::vector<CampaignVariant>& variants,
       if (r.note == "resumed from halving CSV") continue;  // counted above
       if (r.cached) {
         ++summary.cacheHits;
-      } else if (isFreshMeasurement(r)) {
+      } else if (r.status != "skipped") {
         ++summary.measured;
         summary.workRepetitions += r.repetitions;
       }

@@ -74,15 +74,4 @@ void installPredict(CampaignOptions& campaign,
   };
 }
 
-void installPlannerHooks(PlannerOptions& planner,
-                         const std::shared_ptr<StaticAnnotator>& annotator) {
-  if (!annotator) return;
-  planner.predictedCpi = [annotator](const CampaignVariant& v) {
-    return annotator->predictedCpi(v);
-  };
-  planner.stable = [annotator](const CampaignVariant& v) {
-    return annotator->stable(v);
-  };
-}
-
 }  // namespace microtools::launcher

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "launcher/campaign.hpp"
-#include "launcher/planner.hpp"
 #include "verify/costmodel.hpp"
 
 namespace microtools::launcher {
@@ -59,11 +58,5 @@ std::shared_ptr<StaticAnnotator> makeStaticAnnotator(
 /// Installs the campaign `predict` hook (no-op on nullptr).
 void installPredict(CampaignOptions& campaign,
                     const std::shared_ptr<StaticAnnotator>& annotator);
-
-/// Installs the planner's `predictedCpi`/`stable` hooks (no-op on nullptr):
-/// static bounds seed the screening order, and provable stability caps the
-/// round-0 screening protocol (the final round always runs untouched).
-void installPlannerHooks(PlannerOptions& planner,
-                         const std::shared_ptr<StaticAnnotator>& annotator);
 
 }  // namespace microtools::launcher

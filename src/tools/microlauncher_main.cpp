@@ -10,12 +10,9 @@
 #include <sstream>
 
 #include "launcher/arch_registry.hpp"
-#include "launcher/campaign.hpp"
+#include "launcher/explore.hpp"
 #include "launcher/launcher.hpp"
 #include "launcher/options.hpp"
-#include "launcher/planner.hpp"
-#include "launcher/predict.hpp"
-#include "launcher/remote_store.hpp"
 #include "launcher/sim_backend.hpp"
 #include "native/affinity.hpp"
 #include "native/compile.hpp"
@@ -113,7 +110,21 @@ int runCampaign(const LauncherOptions& options) {
   std::vector<launcher::CampaignVariant> variants =
       launcher::loadCampaignDirectory(options.campaignDir, options.function);
 
-  launcher::CampaignOptions campaign;
+  // A campaign directory is explored like generated variants, minus the
+  // measurement cache.
+  launcher::ExploreOptions explore;
+  explore.backend = options.backend;
+  explore.arch = options.arch;
+  explore.coreGHz = options.coreGHz;
+  explore.backendFactory = [&options](int) { return makeBackend(options); };
+  explore.useCache = false;
+  // Static cost-model annotation (pred_cpi_lo/pred_bound/pred_err CSV
+  // columns), priced against --arch; --no-predict turns it off.
+  explore.predict = options.predict;
+  explore.connectAddr = options.connectAddr;
+  explore.workerName = options.workerName;
+
+  launcher::CampaignOptions& campaign = explore.campaign;
   campaign.jobs = options.jobs;
   campaign.protocol = options.toProtocol();
   campaign.maxCv = options.maxCv;
@@ -126,28 +137,24 @@ int runCampaign(const LauncherOptions& options) {
   // over one. The simulator pins inside its own machine model instead.
   campaign.pinWorkers = options.backend == "native";
 
-  // Static cost-model annotation (pred_cpi_lo/pred_bound/pred_err CSV
-  // columns), priced against --arch; --no-predict turns it off.
-  std::shared_ptr<launcher::StaticAnnotator> annotator;
-  if (options.predict) {
-    annotator =
-        launcher::makeStaticAnnotator(options.arch, options.toRequest());
-  }
-  launcher::installPredict(campaign, annotator);
-
   bool halving = options.searchMode == "halving";
-  if (!options.connectAddr.empty() && halving) {
-    throw McError(
-        "--connect requires the full sweep: the halving planner adapts the "
-        "protocol per round, which sharded workers cannot coordinate");
+  if (halving) {
+    explore.search = launcher::SearchMode::Halving;
+    explore.planner.screenRepetitions = options.screenRepetitions;
+    explore.planner.stableScreenRepetitions = options.stableScreenRepetitions;
+    explore.planner.budget = launcher::parseBudget(options.budget);
   }
 
   // Resuming into an existing CSV: rows already completed there are
   // skipped, so an interrupted campaign restart pays only for what is
   // missing. A halving search resumes per round instead — the planner
   // reads the file round by round.
-  if (!options.csvOutput.empty() && !halving) {
-    campaign.completed = launcher::readCompletedVariants(options.csvOutput);
+  if (!options.csvOutput.empty()) {
+    if (halving) {
+      explore.planner.resumeCsv = options.csvOutput;
+    } else {
+      campaign.completed = launcher::readCompletedVariants(options.csvOutput);
+    }
   }
 
   // Stream rows as variants finish — to the CSV file when given (append-safe
@@ -167,75 +174,26 @@ int runCampaign(const LauncherOptions& options) {
     sink = std::make_unique<launcher::CampaignCsvSink>(std::cout);
   }
 
-  launcher::BackendFactory factory = [&options](int) {
-    return makeBackend(options);
-  };
-
-  std::vector<launcher::VariantResult> results;
+  launcher::ExploreResult result = launcher::exploreVariants(
+      explore, launcher::vectorSource(variants), options.toRequest(),
+      sink.get());
   if (!options.connectAddr.empty()) {
-    // Sharded worker against a `microtools serve` daemon. The backend
-    // identity mirrors the explore driver's so both kinds of worker (and a
-    // single-process run over the daemon's cache directory) share keys.
-    std::string backendId = options.backend == "sim"
-                                ? "sim:" + options.arch
-                                : options.backend;
-    if (options.coreGHz) {
-      backendId += strings::format("@%.3fGHz", *options.coreGHz);
-    }
-    launcher::RemoteOptions remote;
-    remote.worker = options.workerName;
-    remote.jobs = campaign.jobs;
-    std::shared_ptr<launcher::RemoteResultStore> store =
-        launcher::bindRemoteCampaign(options.connectAddr, remote, variants,
-                                     backendId, options.toRequest(),
-                                     campaign);
-    // Dispatch must stream per variant: the batch path resolves every
-    // variant before its pool starts, so a worker at its lease cap would
-    // sleep in `defer` with nothing draining its queue.
-    launcher::CampaignRunner runner(factory, campaign);
-    // Rotated traversal: the daemon's joining ordinal staggers where each
-    // fleet member starts, so workers lease disjoint stretches; the row
-    // observer rewrites sequences back to the canonical order.
-    std::size_t offset =
-        launcher::shardOffset(store->ordinal(), variants.size());
-    std::size_t next = 0;
-    results = runner.runStream(
-        [&variants, &next, offset]() -> std::optional<launcher::CampaignVariant> {
-          if (next >= variants.size()) return std::nullopt;
-          return variants[(offset + next++) % variants.size()];
-        },
-        options.toRequest(), sink.get());
-    const launcher::CacheTelemetry t = store->telemetry();
+    const launcher::CacheTelemetry& t = result.cacheTelemetry;
     std::fprintf(stderr, "service: %s (%llu hit(s), %llu lease(s) "
                  "measured)\n",
                  options.connectAddr.c_str(),
                  static_cast<unsigned long long>(t.hits),
                  static_cast<unsigned long long>(t.misses));
-  } else if (halving) {
-    launcher::PlannerOptions planner;
-    planner.screenRepetitions = options.screenRepetitions;
-    planner.stableScreenRepetitions = options.stableScreenRepetitions;
-    planner.budget = launcher::parseBudget(options.budget);
-    if (!options.csvOutput.empty()) planner.resumeCsv = options.csvOutput;
-    launcher::installPlannerHooks(planner, annotator);
-    launcher::PlannerResult planned = launcher::runSuccessiveHalving(
-        variants, options.toRequest(), factory, campaign, planner,
-        /*bindCache=*/nullptr, sink.get());
-    results = std::move(planned.results);
-    if (!options.csvOutput.empty()) {
-      std::printf("halving: %zu of %zu variant(s) at full fidelity after "
-                  "%zu round(s), %lld work repetition(s), stop: %s\n",
-                  planned.fullFidelityVariants, variants.size(),
-                  planned.rounds.size(), planned.workRepetitions,
-                  planned.stopReason.c_str());
-    }
-  } else {
-    launcher::CampaignRunner runner(factory, campaign);
-    results = runner.run(variants, options.toRequest(), sink.get());
+  } else if (halving && !options.csvOutput.empty()) {
+    std::printf("halving: %zu of %zu variant(s) at full fidelity after "
+                "%zu round(s), %lld work repetition(s), stop: %s\n",
+                result.fullFidelityVariants, variants.size(),
+                result.rounds.size(), result.workRepetitions,
+                result.stopReason.c_str());
   }
 
   int failures = 0, skipped = 0;
-  for (const launcher::VariantResult& r : results) {
+  for (const launcher::VariantResult& r : result.results) {
     if (r.status == "skipped") {
       ++skipped;
     } else if (r.status != "ok") {
@@ -245,11 +203,12 @@ int runCampaign(const LauncherOptions& options) {
   if (!options.csvOutput.empty()) {
     std::printf("campaign: %zu variant(s), %d skipped (resumed or failed "
                 "verification), %d failed\n",
-                results.size(), skipped, failures);
+                result.results.size(), skipped, failures);
   }
   if (failures > 0) {
     log::warn(std::to_string(failures) + " of " +
-              std::to_string(results.size()) + " variants did not complete");
+              std::to_string(result.results.size()) +
+              " variants did not complete");
   }
   return 0;
 }

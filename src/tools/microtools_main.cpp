@@ -94,9 +94,9 @@ cli::Parser makeExploreParser() {
   parser.addInt("variant-timeout-ms",
                 "Per-variant wall-clock budget (0 = none)", 0);
   parser.addInt("compile-jobs",
-                "Compile-pipeline producer threads that batch-compile "
-                "variants ahead of the measurement workers (native backend; "
-                "0 = compile inline)",
+                "Compile-stage threads that batch-compile variants ahead of "
+                "the measurement workers, with or without --stream (native "
+                "backend; 0 = compile inline)",
                 0);
   parser.addInt("compile-batch",
                 "Variants grouped into one compiler invocation", 8);
@@ -250,16 +250,16 @@ int runExploreCommand(int argc, char** argv) {
   }
   if (parser.getFlag("verbose")) log::setLevel(log::Level::Info);
 
+  // Compile cache (native backend): defaults to a "so" subdirectory of the
+  // measurement cache, so one --cache flag governs both; --no-cache turns it
+  // off unless the user asked for a compile cache dir explicitly.
+  std::string compileCacheDir;
+  if (parser.has("compile-cache-dir")) {
+    compileCacheDir = parser.getString("compile-cache-dir");
+  } else if (options.useCache) {
+    compileCacheDir = options.cacheDir + "/so";
+  }
   if (options.backend == "native") {
-    // Compile cache: defaults to a "so" subdirectory of the measurement
-    // cache, so one --cache flag governs both; --no-cache turns it off
-    // unless the user asked for a compile cache dir explicitly.
-    std::string compileCacheDir;
-    if (parser.has("compile-cache-dir")) {
-      compileCacheDir = parser.getString("compile-cache-dir");
-    } else if (options.useCache) {
-      compileCacheDir = options.cacheDir + "/so";
-    }
     bool perfCounters = !parser.getFlag("no-perf-counters");
     options.backendFactory = [compileCacheDir, perfCounters](int) {
       native::NativeBackendOptions nb;
@@ -288,13 +288,7 @@ int runExploreCommand(int argc, char** argv) {
     }
     env::EnvSnapshot snapshot = env::captureEnv();
     if (options.backend == "native") {
-      std::string identityCache;
-      if (parser.has("compile-cache-dir")) {
-        identityCache = parser.getString("compile-cache-dir");
-      } else if (options.useCache) {
-        identityCache = options.cacheDir + "/so";
-      }
-      snapshot.set("compiler", native::compilerIdentity(identityCache));
+      snapshot.set("compiler", native::compilerIdentity(compileCacheDir));
     }
     sink = std::make_unique<launcher::CampaignCsvSink>(
         csvPath, env::toCsvComments(snapshot));

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -71,6 +73,19 @@ std::vector<CampaignVariant> sixtyFourVariants() {
     variants.push_back(std::move(v));
   }
   return variants;
+}
+
+/// A paced pull source over `variants`: it pauses every 16 variants, like a
+/// generation producer, so workers measure while the stream still arrives.
+VariantSource pacedSource(const std::vector<CampaignVariant>& variants) {
+  return [&variants, next = std::size_t{0}]() mutable
+         -> std::optional<CampaignVariant> {
+    if (next >= variants.size()) return std::nullopt;
+    if (next % 16 == 15) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return variants[next++];
+  };
 }
 
 /// A backend that fails its first `failures` invocations with
@@ -879,14 +894,19 @@ TEST(Campaign, PipelinedResultsBitIdenticalAcrossCompileJobGrid) {
     options.compileJobs = g.compileJobs;
     options.compileBatch = g.compileBatch;
     CampaignRunner runner(simFactory(), options);
-    std::vector<VariantResult> results = runner.run(variants, request);
-    ASSERT_EQ(results.size(), baseline.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].sequence, i);
-      EXPECT_EQ(CampaignRunner::csvRow(baseline[i]),
-                CampaignRunner::csvRow(results[i]))
-          << "jobs=" << g.jobs << " compileJobs=" << g.compileJobs
-          << " compileBatch=" << g.compileBatch << " variant " << i;
+    for (bool streamed : {false, true}) {
+      std::vector<VariantResult> results =
+          streamed ? runner.runStream(pacedSource(variants), request)
+                   : runner.run(variants, request);
+      ASSERT_EQ(results.size(), baseline.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].sequence, i);
+        EXPECT_EQ(CampaignRunner::csvRow(baseline[i]),
+                  CampaignRunner::csvRow(results[i]))
+            << "jobs=" << g.jobs << " compileJobs=" << g.compileJobs
+            << " compileBatch=" << g.compileBatch << " streamed=" << streamed
+            << " variant " << i;
+      }
     }
   }
 }
@@ -904,16 +924,21 @@ TEST(Campaign, PipelinedPathRoutesEveryVariantThroughPrepareBatch) {
   options.compileJobs = 2;
   options.compileBatch = 3;
   CampaignRunner runner(factory, options);
-  std::vector<VariantResult> results =
-      runner.run(variants, smallRequest());
+  for (bool streamed : {false, true}) {
+    batchCalls->store(0);
+    preparedUnits->store(0);
+    std::vector<VariantResult> results =
+        streamed ? runner.runStream(pacedSource(variants), smallRequest())
+                 : runner.run(variants, smallRequest());
 
-  int expectedBatches = static_cast<int>(
-      (variants.size() + 2) / 3);  // ceil(variants / compileBatch)
-  EXPECT_EQ(batchCalls->load(), expectedBatches);
-  EXPECT_EQ(preparedUnits->load(), static_cast<int>(variants.size()));
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].sequence, i);
-    EXPECT_EQ(results[i].status, "ok") << results[i].error;
+    int expectedBatches = static_cast<int>(
+        (variants.size() + 2) / 3);  // ceil(variants / compileBatch)
+    EXPECT_EQ(batchCalls->load(), expectedBatches) << "streamed=" << streamed;
+    EXPECT_EQ(preparedUnits->load(), static_cast<int>(variants.size()));
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].sequence, i);
+      EXPECT_EQ(results[i].status, "ok") << results[i].error;
+    }
   }
 }
 
@@ -972,6 +997,191 @@ TEST(Campaign, ThrowingPrepareBatchDoesNotDeadlockTheCampaign) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].sequence, i);
     EXPECT_EQ(results[i].status, "ok") << results[i].error;
+  }
+}
+
+TEST(Campaign, StreamOfFiveHundredTwelveVariantsKeepsEveryRow) {
+  // Enough arrivals to grow the loop's per-variant storage many times over
+  // while both workers measure (CI's TSan job runs this).
+  std::vector<CampaignVariant> variants;
+  for (int i = 0; i < 512; ++i) {
+    CampaignVariant v;
+    v.name = strings::format("v%03d", i);
+    variants.push_back(std::move(v));
+  }
+  for (int compileJobs : {0, 2}) {
+    CampaignOptions options = quickOptions(2);
+    options.compileJobs = compileJobs;
+    CampaignRunner runner(
+        [](int) { return std::make_unique<FlakyBackend>(0); }, options);
+    std::ostringstream csv;
+    std::vector<VariantResult> results;
+    {
+      CampaignCsvSink sink(csv);
+      results = runner.runStream(pacedSource(variants), KernelRequest{}, &sink);
+    }
+    ASSERT_EQ(results.size(), variants.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].sequence, i);
+      EXPECT_EQ(results[i].name, variants[i].name);
+      EXPECT_EQ(results[i].status, "ok") << results[i].error;
+    }
+    std::string text = csv.str();
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 513)
+        << "compileJobs=" << compileJobs;  // header + one row per variant
+  }
+}
+
+TEST(Campaign, FailingBackendFactoryFailsTheWholeCampaign) {
+  // A factory that throws, or returns null, must stop the campaign with that
+  // error on every path — never leave rows that read "ok" with 0 cycles.
+  struct Case {
+    std::string message;
+    BackendFactory factory;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"factory failed", [](int) -> std::unique_ptr<Backend> {
+                     throw McError("factory failed");
+                   }});
+  cases.push_back({"backend factory returned null",
+                   [](int) -> std::unique_ptr<Backend> { return nullptr; }});
+  std::vector<CampaignVariant> variants = eightVariants();
+  for (const Case& c : cases) {
+    for (int compileJobs : {0, 2}) {
+      for (bool streamed : {false, true}) {
+        CampaignOptions options = quickOptions(2);
+        options.compileJobs = compileJobs;
+        options.compileBatch = 3;
+        CampaignRunner runner(c.factory, options);
+        std::ostringstream csv;
+        CampaignCsvSink sink(csv);
+        try {
+          if (streamed) {
+            runner.runStream(pacedSource(variants), smallRequest(), &sink);
+          } else {
+            runner.run(variants, smallRequest(), &sink);
+          }
+          ADD_FAILURE() << "no error; expected '" << c.message << "'";
+        } catch (const McError& e) {
+          EXPECT_EQ(e.message(), c.message);
+        }
+        EXPECT_EQ(csv.str(), "") << "compileJobs=" << compileJobs
+                                 << " streamed=" << streamed;
+      }
+    }
+  }
+}
+
+TEST(Campaign, FullyCachedRunWithCompileStageBuildsNoBackend) {
+  std::vector<CampaignVariant> variants = eightVariants();
+  CampaignOptions options = quickOptions(2);
+  options.compileJobs = 2;
+  options.compileBatch = 3;
+  options.cacheLookup = [](const CampaignVariant&, VariantResult& out) {
+    out.status = "ok";
+    return true;
+  };
+  auto built = std::make_shared<std::atomic<int>>(0);
+  CampaignRunner runner(
+      [built](int) {
+        built->fetch_add(1);
+        return std::make_unique<FlakyBackend>(0);
+      },
+      options);
+  for (bool streamed : {false, true}) {
+    std::vector<VariantResult> results =
+        streamed ? runner.runStream(pacedSource(variants), smallRequest())
+                 : runner.run(variants, smallRequest());
+    ASSERT_EQ(results.size(), variants.size());
+    for (const VariantResult& r : results) EXPECT_TRUE(r.cached);
+  }
+  EXPECT_EQ(built->load(), 0);
+}
+
+/// Records which role each worker index plays: every load() and every
+/// prepareBatch() logs the index of the worker that built this backend.
+class RoleBackend final : public Backend {
+ public:
+  struct Log {
+    std::mutex mutex;
+    std::vector<int> built;
+    std::set<int> loaded;
+    std::set<int> prepared;
+  };
+
+  RoleBackend(int worker, std::shared_ptr<Log> log)
+      : worker_(worker), log_(std::move(log)) {
+    std::lock_guard<std::mutex> lock(log_->mutex);
+    log_->built.push_back(worker);
+  }
+
+  std::string name() const override { return "role"; }
+  std::unique_ptr<KernelHandle> load(const std::string&,
+                                     const std::string&) override {
+    std::lock_guard<std::mutex> lock(log_->mutex);
+    log_->loaded.insert(worker_);
+    return std::make_unique<FlakyBackend::FakeKernel>();
+  }
+  std::vector<SourceUnit> prepareBatch(
+      std::vector<SourceUnit> units) override {
+    std::lock_guard<std::mutex> lock(log_->mutex);
+    log_->prepared.insert(worker_);
+    return units;
+  }
+  InvokeResult invoke(KernelHandle&, const KernelRequest&) override {
+    return InvokeResult{100.0, 10, {}};
+  }
+  double timerOverheadCycles() const override { return 0.0; }
+  std::vector<InvokeResult> invokeFork(KernelHandle&, const KernelRequest&,
+                                       int, int, PinPolicy) override {
+    throw ExecutionError("no fork mode");
+  }
+  InvokeResult invokeOpenMp(KernelHandle&, const KernelRequest&, int,
+                            int) override {
+    throw ExecutionError("no OpenMP mode");
+  }
+
+ private:
+  int worker_;
+  std::shared_ptr<Log> log_;
+};
+
+TEST(Campaign, FactoryWorkerIndicesFollowTheirRoles) {
+  // Measurement workers own [0, jobs), compile workers
+  // [jobs, jobs + compileJobs), and each builds at most one backend.
+  const int jobs = 2;
+  const int compileJobs = 3;
+  for (bool streamed : {false, true}) {
+    auto log = std::make_shared<RoleBackend::Log>();
+    CampaignOptions options = quickOptions(jobs);
+    options.compileJobs = compileJobs;
+    options.compileBatch = 2;
+    CampaignRunner runner(
+        [log](int worker) {
+          return std::make_unique<RoleBackend>(worker, log);
+        },
+        options);
+    std::vector<CampaignVariant> variants = sixtyFourVariants();
+    std::vector<VariantResult> results =
+        streamed ? runner.runStream(pacedSource(variants), smallRequest())
+                 : runner.run(variants, smallRequest());
+    for (const VariantResult& r : results) {
+      EXPECT_EQ(r.status, "ok") << r.error;
+    }
+    EXPECT_LE(log->built.size(), static_cast<std::size_t>(jobs + compileJobs));
+    EXPECT_EQ(std::set<int>(log->built.begin(), log->built.end()).size(),
+              log->built.size())
+        << "a worker built two backends";
+    ASSERT_FALSE(log->loaded.empty());
+    ASSERT_FALSE(log->prepared.empty());
+    for (int w : log->loaded) {
+      EXPECT_GE(w, 0);
+      EXPECT_LT(w, jobs) << "a compile worker loaded a kernel";
+    }
+    for (int w : log->prepared) {
+      EXPECT_GE(w, jobs) << "a measurement worker prepared a batch";
+      EXPECT_LT(w, jobs + compileJobs);
+    }
   }
 }
 

@@ -634,6 +634,7 @@ TEST(Explore, StreamedColdRunMatchesBatchResults) {
   ExploreOptions streamed = baseOptions(freshDir("explore_stream_cold"), b);
   streamed.useCache = false;
   streamed.stream = true;
+  streamed.campaign.compileJobs = 2;
   ExploreResult result = runExplore(streamed);
 
   // Streaming reorders nothing: variants arrive in emission order, so rows,

@@ -313,7 +313,10 @@ class ServeFixture : public ::testing::Test {
  protected:
   void startServer(ServeOptions options = {}) {
     if (options.cacheDir == ServeOptions{}.cacheDir) {
-      options.cacheDir = freshDir("serve_proto_cache");
+      // One cache per test: ctest runs the tests as parallel processes.
+      options.cacheDir = freshDir(
+          std::string("serve_proto_cache_") +
+          ::testing::UnitTest::GetInstance()->current_test_info()->name());
     }
     options.drainTimeoutMs = 200;  // protocol tests abandon leases on purpose
     server_ = std::make_unique<ServeServer>(std::move(options));
@@ -500,7 +503,10 @@ struct ShardedRun {
 ShardedRun runSharded(int workers, const std::string& cacheDir) {
   ServeOptions serveOptions;
   serveOptions.cacheDir = cacheDir;
-  std::string outDir = freshDir("serve_out_" + std::to_string(workers));
+  // Named after the cache directory, which each test owns: parallel tests
+  // that run the same worker count must not share an output directory.
+  std::string outDir = cacheDir + "_out_" + std::to_string(workers);
+  fs::remove_all(outDir);
   fs::create_directories(outDir);
   serveOptions.csvPath = outDir + "/campaign.csv";
   serveOptions.reportPath = outDir + "/report.csv";
@@ -641,6 +647,28 @@ TEST(ServeEndToEnd, UnixSocketTransportWorks) {
   server.requestStop();
   server.wait();
   EXPECT_EQ(server.summary().campaignsFinalized, 1u);
+}
+
+TEST(ServeEndToEnd, CompileStageNeverSitsOnLeasesPastTheWindow) {
+  // At --jobs 1 the daemon defers this worker past 2 open leases, so a
+  // compile group of 8 must not hold leases while the campaign thread waits
+  // for the next one.
+  ServeOptions serveOptions;
+  serveOptions.cacheDir = freshDir("serve_compile_stage_cache");
+  ServeServer server(serveOptions);
+  server.start();
+  auto counters = std::make_shared<BackendCounters>();
+  ExploreOptions options = workerOptions(counters);
+  options.connectAddr = server.boundAddress();
+  options.campaign.jobs = 1;
+  options.campaign.compileJobs = 2;
+  options.campaign.compileBatch = 8;
+  ExploreResult result = runExplore(options);
+  EXPECT_GT(result.results.size(), 2u);
+  EXPECT_EQ(result.measured, result.results.size());
+  EXPECT_EQ(result.failures, 0u);
+  server.requestStop();
+  server.wait();
 }
 
 TEST(ServeEndToEnd, HalvingSearchIsRejectedInConnectMode) {

@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
@@ -237,6 +238,32 @@ TEST_F(ToolsTest, LauncherCampaignMode) {
       << r.output;
   // The overhead clamp guarantees no negative cycles/iteration anywhere.
   EXPECT_EQ(r.output.find(",-"), std::string::npos) << r.output;
+}
+
+TEST_F(ToolsTest, LauncherCampaignCompileStagePrintsTheSameRows) {
+  ASSERT_EQ(run(std::string(MT_MICROCREATOR_PATH) + " " + xmlPath_ +
+                " --output " + outDir_)
+                .exitCode,
+            0);
+  std::string command = std::string(MT_MICROLAUNCHER_PATH) + " --campaign " +
+                        outDir_ + " --jobs 2 --array-bytes 8192 --inner 1 "
+                        "--outer 2 --max-repetitions 6";
+  CommandResult inline_ = run(command);
+  CommandResult staged = run(command + " --compile-jobs 2");
+  ASSERT_EQ(inline_.exitCode, 0) << inline_.output;
+  ASSERT_EQ(staged.exitCode, 0) << staged.output;
+  // Rows stream in completion order, so compare the sorted lines: the
+  // header plus one row per generated variant (30), identical either way.
+  auto sortedLines = [](const std::string& text) {
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  std::vector<std::string> expected = sortedLines(inline_.output);
+  EXPECT_EQ(expected.size(), 31u) << inline_.output;
+  EXPECT_EQ(sortedLines(staged.output), expected) << staged.output;
 }
 
 TEST_F(ToolsTest, LauncherCampaignRejectsMissingDirectory) {
