@@ -110,27 +110,6 @@ VariantRollup rollup(const std::vector<double>& samples,
   return r;
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strings::format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string jsonNumber(double v) {
   if (!std::isfinite(v)) return "null";
   return strings::format("%.17g", v);
@@ -238,14 +217,15 @@ std::string renderBenchDiffTable(const BenchDiffReport& report) {
 
 std::string renderBenchDiffJson(const BenchDiffReport& report) {
   std::ostringstream out;
-  out << "{\n  \"metric\": \"" << jsonEscape(report.metric) << "\",\n";
+  out << "{\n  \"metric\": \"" << strings::jsonEscape(report.metric)
+      << "\",\n";
   out << "  \"regressions\": " << report.regressions << ",\n";
   out << "  \"improvements\": " << report.improvements << ",\n";
   out << "  \"entries\": [";
   for (std::size_t i = 0; i < report.entries.size(); ++i) {
     const BenchDiffEntry& e = report.entries[i];
     out << (i ? ",\n    " : "\n    ");
-    out << "{\"variant\": \"" << jsonEscape(e.name) << "\""
+    out << "{\"variant\": \"" << strings::jsonEscape(e.name) << "\""
         << ", \"old_median\": " << jsonNumber(e.before.median)
         << ", \"new_median\": " << jsonNumber(e.after.median)
         << ", \"old_p95\": " << jsonNumber(e.before.p95)
@@ -261,7 +241,7 @@ std::string renderBenchDiffJson(const BenchDiffReport& report) {
                          const std::vector<std::string>& names) {
     out << "  \"" << key << "\": [";
     for (std::size_t i = 0; i < names.size(); ++i) {
-      out << (i ? ", " : "") << "\"" << jsonEscape(names[i]) << "\"";
+      out << (i ? ", " : "") << "\"" << strings::jsonEscape(names[i]) << "\"";
     }
     out << "]";
   };

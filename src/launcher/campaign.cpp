@@ -53,7 +53,8 @@ VerifyMode verifyModeFromName(const std::string& name) {
   if (name == "off") return VerifyMode::Off;
   if (name == "warn") return VerifyMode::Warn;
   if (name == "strict") return VerifyMode::Strict;
-  throw McError("--verify must be off, warn, or strict (got '" + name + "')");
+  throw ParseError("--verify must be off, warn, or strict (got '" + name +
+                   "')");
 }
 
 // ---------------------------------------------------------------------------

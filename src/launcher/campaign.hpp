@@ -95,7 +95,7 @@ using RowObserver = std::function<void(const CampaignVariant& variant,
 /// before any compile or dlopen can crash the campaign.
 enum class VerifyMode { Off, Warn, Strict };
 
-/// Parses a --verify value ("off"|"warn"|"strict"); throws McError on
+/// Parses a --verify value ("off"|"warn"|"strict"); throws ParseError on
 /// anything else.
 VerifyMode verifyModeFromName(const std::string& name);
 

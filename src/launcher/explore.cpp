@@ -82,26 +82,6 @@ struct StreamChannel {
   std::exception_ptr error;
 };
 
-KernelRequest buildRequest(const ExploreOptions& options, int nbVectors) {
-  KernelRequest request;
-  request.chunkStrideBytes = options.elementBytes;
-  if (options.tripCount) {
-    request.n = *options.tripCount;
-  } else {
-    if (options.elementBytes == 0) throw McError("element bytes must be > 0");
-    std::uint64_t elements = options.arrayBytes / options.elementBytes;
-    if (elements == 0 || elements > 0x7fffffffull) {
-      throw McError("array size yields an invalid trip count");
-    }
-    request.n = static_cast<int>(elements);
-  }
-  for (int i = 0; i < nbVectors; ++i) {
-    request.arrays.push_back(
-        ArraySpec{options.arrayBytes, options.alignment, options.alignOffset});
-  }
-  return request;
-}
-
 /// Builds the cache binder over an open cache. The binder installs
 /// lookup/store hooks keyed on the options of whatever campaign it is
 /// applied to. The full sweep applies it once to the baseline options; the
@@ -149,6 +129,50 @@ std::vector<CampaignVariant> collect(const VariantSource& source) {
 
 }  // namespace
 
+KernelRequest kernelRequest(const ExploreOptions& options, int nbVectors,
+                            const std::vector<std::uint64_t>& perArrayBytes) {
+  KernelRequest request;
+  request.chunkStrideBytes = options.elementBytes;
+  for (int i = 0; i < nbVectors; ++i) {
+    auto index = static_cast<std::size_t>(i);
+    request.arrays.push_back(ArraySpec{
+        index < perArrayBytes.size() ? perArrayBytes[index]
+                                     : options.arrayBytes,
+        options.alignment, options.alignOffset});
+  }
+  if (options.tripCount) {
+    request.n = *options.tripCount;
+    return request;
+  }
+  if (options.elementBytes == 0) throw McError("--element-bytes must be > 0");
+  std::uint64_t firstBytes =
+      perArrayBytes.empty() ? options.arrayBytes : perArrayBytes.front();
+  std::uint64_t elements = firstBytes / options.elementBytes;
+  if (elements == 0 || elements > 0x7fffffffull) {
+    throw McError("array size yields an invalid trip count");
+  }
+  request.n = static_cast<int>(elements);
+  return request;
+}
+
+BackendFactory backendFactoryFor(const ExploreOptions& options) {
+  if (options.backendFactory) return options.backendFactory;
+  if (options.backend != "sim") {
+    throw McError("explore backend '" + options.backend +
+                  "' requires an explicit backend factory");
+  }
+  sim::MachineConfig config = archByName(options.arch).config;
+  if (options.coreGHz) config.coreGHz = *options.coreGHz;
+  SimBackendOptions simOptions;
+  if (options.simExact) {
+    simOptions.steadyState = false;
+    simOptions.memoize = false;
+  }
+  return [config, simOptions](int) {
+    return std::make_unique<SimBackend>(config, simOptions);
+  };
+}
+
 ExploreResult exploreVariants(const ExploreOptions& options,
                               const VariantSource& source,
                               const KernelRequest& request,
@@ -161,23 +185,7 @@ ExploreResult exploreVariants(const ExploreOptions& options,
         "protocol per round, which sharded workers cannot coordinate");
   }
 
-  BackendFactory factory = options.backendFactory;
-  if (!factory) {
-    if (options.backend != "sim") {
-      throw McError("explore backend '" + options.backend +
-                    "' requires an explicit backend factory");
-    }
-    sim::MachineConfig config = archByName(options.arch).config;
-    if (options.coreGHz) config.coreGHz = *options.coreGHz;
-    SimBackendOptions simOptions;
-    if (options.simExact) {
-      simOptions.steadyState = false;
-      simOptions.memoize = false;
-    }
-    factory = [config, simOptions](int) {
-      return std::make_unique<SimBackend>(config, simOptions);
-    };
-  }
+  BackendFactory factory = backendFactoryFor(options);
   std::string backendId = options.backendId;
   if (backendId.empty()) {
     backendId = options.backend == "sim" ? "sim:" + options.arch
@@ -384,7 +392,7 @@ ExploreResult runExplore(const ExploreOptions& options,
           channel.queue.pop_front();
           return v;
         },
-        buildRequest(options, nbVectors), sink);
+        kernelRequest(options, nbVectors), sink);
     // Batch parity: a generation failure fails the run, even when it struck
     // after some variants were already measured.
     std::lock_guard<std::mutex> lock(channel.mutex);
@@ -410,7 +418,7 @@ ExploreResult runExplore(const ExploreOptions& options,
   std::vector<CampaignVariant> variants =
       variantsFromPrograms(std::move(programs));
   return exploreVariants(options, vectorSource(variants),
-                         buildRequest(options, nbVectors), sink);
+                         kernelRequest(options, nbVectors), sink);
 }
 
 csv::Table topKReport(const std::vector<VariantResult>& results, int k) {

@@ -61,6 +61,10 @@ struct ExploreOptions {
   std::optional<double> coreGHz;
   CampaignOptions campaign;  ///< jobs/protocol/adaptive/timeout knobs
 
+  // -- native backend (read by native::useNativeBackend) ---------------------
+  std::string compileCacheDir;  ///< persistent .so cache ("" = no cache)
+  bool perfCounters = true;     ///< perf_event counter groups per invoke
+
   /// Escape hatch (`--sim-exact`): force the simulator backend to cycle-
   /// simulate every invoke — no steady-state extrapolation, no warm-invoke
   /// memoization. Results are bit-identical to the default fast path; this
@@ -86,7 +90,7 @@ struct ExploreOptions {
 
   /// Overrides the backend construction (tests inject counting backends).
   /// When empty, a SimBackend factory is built from `arch`/`coreGHz`
-  /// ("native" requires an explicit factory — the CLI provides one).
+  /// ("native" requires an explicit factory: native::useNativeBackend).
   BackendFactory backendFactory;
 
   /// Cache-key identity of the execution environment; derived from
@@ -103,9 +107,12 @@ struct ExploreOptions {
   std::uint64_t elementBytes = 4;
   std::optional<int> tripCount;  ///< explicit n; default from first array
 
-  // -- cache -----------------------------------------------------------------
+  // -- cache and CSV ---------------------------------------------------------
   std::string cacheDir = ".microtools-cache";
   bool useCache = true;
+  /// Campaign CSV to stream rows into and resume from (--csv; "" = none).
+  /// Read by the CLIs' sink wiring (native::openCampaignCsv), not here.
+  std::string csvPath;
 
   // -- campaign service (--connect) ------------------------------------------
   /// When non-empty, this worker shards the campaign against a `microtools
@@ -145,6 +152,21 @@ struct ExploreResult {
   std::string stopReason;            ///< planner verdict ("" for full sweeps)
   std::size_t fullFidelityVariants = 0;  ///< variants in the final round
 };
+
+/// The kernel request the geometry fields describe, shared by
+/// microlauncher, explore and lint: `nbVectors` arrays of `arrayBytes` each
+/// (the leading ones resized by `perArrayBytes`), placed at `alignment` plus
+/// `alignOffset`, with trip count `tripCount` or else the first array's
+/// elements at `elementBytes` each. Throws McError when that count is 0 or
+/// does not fit an int.
+KernelRequest kernelRequest(const ExploreOptions& options, int nbVectors,
+                            const std::vector<std::uint64_t>& perArrayBytes =
+                                {});
+
+/// options.backendFactory when set; otherwise a factory of SimBackends for
+/// `arch` at `coreGHz` (`simExact` turns off the fast path). Throws McError
+/// for any other backend, which needs an explicit factory.
+BackendFactory backendFactoryFor(const ExploreOptions& options);
 
 /// The end-to-end pipeline (§3 + §4 fused): parse the description, generate
 /// every variant in memory (or stream them, with `stream`), build the

@@ -15,8 +15,9 @@ std::vector<std::vector<std::uint64_t>> alignmentConfigurations(
   if (spec.maxConfigs == 0) {
     throw McError("alignment sweep requires maxConfigs > 0");
   }
-  std::uint64_t perArray = (spec.maxOffset - spec.minOffset + spec.step - 1) /
-                           spec.step;
+  // ceil(range / step), in a form that cannot wrap for a step near 2^64.
+  std::uint64_t perArray =
+      (spec.maxOffset - spec.minOffset - 1) / spec.step + 1;
   // Total configurations = perArray ^ arrayCount, computed with saturation.
   std::uint64_t total = 1;
   for (std::size_t i = 0; i < arrayCount; ++i) {

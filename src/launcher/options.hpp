@@ -1,106 +1,93 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "launcher/backend.hpp"
-#include "launcher/protocol.hpp"
+#include "launcher/explore.hpp"
 #include "support/cli.hpp"
 
 namespace microtools::launcher {
 
+// ---------------------------------------------------------------------------
+// The option surface microlauncher and microtools explore share
+// ---------------------------------------------------------------------------
+
+/// Registers the array-geometry flags: --nbvectors, --array-bytes,
+/// --alignment, --align-offset, --element-bytes and --n. The --nbvectors
+/// default is the one that differs per tool: microlauncher passes 1, while
+/// explore and lint pass 0 (as many arrays as the generated programs use).
+void addGeometryFlags(cli::Parser& parser, int defaultNbVectors);
+
+/// Registers every flag microlauncher and microtools explore share: the
+/// geometry flags plus backend, arch and frequency, protocol, adaptive
+/// repetition and timeout, compile stage, verify, search, budget and
+/// screening repetitions, prediction, --connect, counters, --jobs, --csv,
+/// --verbose and --input, whose help (`inputHelp`) is per tool.
+void addExploreFlags(cli::Parser& parser, int defaultNbVectors,
+                     const std::string& inputHelp);
+
+/// Reads the geometry flags into `options`; throws ParseError on a
+/// negative size, alignment or offset, an --nbvectors outside 0..5, or
+/// --element-bytes 0.
+void geometryFromParser(const cli::Parser& parser, ExploreOptions& options);
+
+/// Reads, validates and applies every flag addExploreFlags registered,
+/// except --input, whose meaning is per tool. Throws ParseError on any
+/// invalid value; --verbose turns on info logging.
+ExploreOptions exploreOptionsFromParser(const cli::Parser& parser);
+
+// ---------------------------------------------------------------------------
+// microlauncher
+// ---------------------------------------------------------------------------
+
 /// The launcher's full option surface (§4.2: "more than thirty options in
-/// the MicroLauncher tool for behavior tweaking").
+/// the MicroLauncher tool for behavior tweaking"): the flags it shares with
+/// explore, parsed into `explore`, plus its own.
 struct LauncherOptions {
-  // -- input -----------------------------------------------------------------
-  std::string inputFile;             ///< assembly/C/shared-object kernel
-  std::string inputKind = "auto";    ///< auto|asm|c|so|exec (§4.1)
+  ExploreOptions explore;  ///< the shared flags
+
+  // -- input (§4.1) ----------------------------------------------------------
+  std::string inputFile;             ///< --input: assembly/C/.so kernel
+  std::string inputKind = "auto";    ///< auto|asm|c|so|exec
   std::string function = "microkernel";  ///< kernel entry point
   std::string standaloneProgram;     ///< fork-and-time a whole program
 
-  // -- arrays (--nbvectors & friends, §4.4) -----------------------------------
-  int nbVectors = 1;
-  std::uint64_t arrayBytes = 1 << 20;
+  // -- arrays (§4.4) ----------------------------------------------------------
   std::vector<std::uint64_t> arrayBytesPerVector;  ///< overrides per array
-  std::uint64_t alignment = 4096;
-  std::uint64_t alignOffset = 0;
-  std::uint64_t elementBytes = 4;  ///< element size (4 = float, 8 = double)
 
-  // -- alignment sweep ---------------------------------------------------------
+  // -- alignment sweep --------------------------------------------------------
   bool sweepAlignment = false;
   std::uint64_t alignMin = 0;
   std::uint64_t alignMax = 4096;
   std::uint64_t alignStep = 64;
   std::uint64_t maxAlignConfigs = 2500;
 
-  // -- protocol ---------------------------------------------------------------
-  std::optional<int> tripCount;  ///< kernel n; default from array size
-  int innerRepetitions = 8;
-  int outerRepetitions = 10;
-  bool noWarmup = false;
-  bool noOverheadSubtraction = false;
+  // -- output and placement ---------------------------------------------------
   bool reportFullKernelTime = false;  ///< §4.3 "full kernel execution" option
-
-  // -- placement ----------------------------------------------------------------
   int pinCore = 0;
   int processes = 1;            ///< fork mode core count (§4.6)
   std::string pinPolicy = "scatter";  ///< scatter|compact
   int forkCalls = 4;
 
-  // -- OpenMP -------------------------------------------------------------------
+  // -- OpenMP -----------------------------------------------------------------
   bool useOpenMp = false;
   int threads = 4;
   int ompRepetitions = 10;
 
-  // -- campaign mode ------------------------------------------------------------
-  std::string campaignDir;     ///< directory of .s/.c variants; "" = off
-  int jobs = 1;                ///< campaign worker threads
-  double maxCv = 0.05;         ///< adaptive repetition CV target
-  int maxRepetitions = 40;     ///< total outer-repetition budget per variant
-  int variantTimeoutMs = 0;    ///< per-variant wall-clock budget (0 = none)
-  int compileJobs = 0;         ///< compile-stage threads (0 = compile inline)
-  int compileBatch = 8;        ///< variants per batched compiler invocation
-  std::string compileCacheDir; ///< persistent .so cache ("" = no cache)
-  std::string verifyMode = "strict";  ///< pre-flight check: off|warn|strict
-  std::string searchMode = "full";    ///< variant walk: full|halving
-  std::string budget;          ///< halving budget: "<seconds>s" or variants
-  int screenRepetitions = 1;   ///< halving round-0 screening outer reps
-  int stableScreenRepetitions = 1;  ///< screening reps for provably-stable
-                                    ///< variants (--stable-screen-reps)
-  bool predict = true;         ///< static cost-model annotation/ordering
-  std::string connectAddr;     ///< serve daemon address ("" = standalone)
-  std::string workerName;      ///< telemetry name at the daemon ("": pid)
-
-  // -- backend / machine ---------------------------------------------------------
-  std::string backend = "sim";   ///< sim|native
-  bool perfCounters = true;  ///< perf_event counter groups (native backend)
-  std::string arch = "nehalem_x5650_2s";
-  std::optional<double> coreGHz;  ///< DVFS override (Figure 13)
-
-  // -- output -------------------------------------------------------------------
-  std::string csvOutput;  ///< path; empty = stdout
-  bool verbose = false;
+  std::string campaignDir;  ///< directory of .s/.c variants; "" = off
   bool listArch = false;
 
-  /// Derives the trip count: explicit --n, else elements that fit the first
-  /// array at --element-bytes per element (default 4, the movss convention;
-  /// 8 for double-precision kernels).
-  int effectiveTripCount() const;
-
-  /// Builds the KernelRequest implied by these options.
+  /// The request for one kernel: the shared geometry with the per-array
+  /// --array-bytes-n overrides, pinned to --pin.
   KernelRequest toRequest() const;
-
-  /// Protocol options implied by these options.
-  ProtocolOptions toProtocol() const;
 };
 
 /// Registers every option on a CLI parser (also serves as the --help page).
 cli::Parser makeLauncherParser();
 
 /// Extracts LauncherOptions from a parsed command line; throws ParseError
-/// on invalid combinations.
+/// on invalid values.
 LauncherOptions optionsFromParser(const cli::Parser& parser);
 
 }  // namespace microtools::launcher

@@ -15,7 +15,7 @@ namespace microtools::launcher {
 SearchMode searchModeFromName(const std::string& name) {
   if (name == "full") return SearchMode::Full;
   if (name == "halving") return SearchMode::Halving;
-  throw McError("--search must be full or halving (got '" + name + "')");
+  throw ParseError("--search must be full or halving (got '" + name + "')");
 }
 
 Budget parseBudget(const std::string& text) {
@@ -24,8 +24,8 @@ Budget parseBudget(const std::string& text) {
   if (text.back() == 's') {
     auto seconds = strings::parseDouble(text.substr(0, text.size() - 1));
     if (!seconds || !(*seconds > 0.0)) {
-      throw McError("--budget seconds must be a positive number, e.g. '30s' "
-                    "(got '" + text + "')");
+      throw ParseError("--budget seconds must be a positive number, e.g. "
+                       "'30s' (got '" + text + "')");
     }
     budget.kind = Budget::Kind::Seconds;
     budget.seconds = *seconds;
@@ -33,8 +33,8 @@ Budget parseBudget(const std::string& text) {
   }
   auto variants = strings::parseInt(text);
   if (!variants || *variants <= 0) {
-    throw McError("--budget must be '<seconds>s' or a positive variant-"
-                  "measurement count (got '" + text + "')");
+    throw ParseError("--budget must be '<seconds>s' or a positive variant-"
+                     "measurement count (got '" + text + "')");
   }
   budget.kind = Budget::Kind::Variants;
   budget.variants = *variants;

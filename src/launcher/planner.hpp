@@ -32,7 +32,7 @@ enum class SearchMode {
   Halving,  ///< successive halving: screen cheap, keep best half, repeat
 };
 
-/// Parses a --search value ("full"|"halving"); throws McError otherwise.
+/// Parses a --search value ("full"|"halving"); throws ParseError otherwise.
 SearchMode searchModeFromName(const std::string& name);
 
 /// A user-facing search budget: "none" (run to completion), a wall-clock
@@ -48,7 +48,7 @@ struct Budget {
 /// wall-clock budget in seconds; a plain positive integer (e.g. "16") is a
 /// budget of fresh variant measurements (cache hits and resumed rows are
 /// free — a warm rerun is never truncated). Empty string = no budget.
-/// Throws McError on anything else.
+/// Throws ParseError on anything else.
 Budget parseBudget(const std::string& text);
 
 /// Planner knobs, layered on top of the baseline CampaignOptions.

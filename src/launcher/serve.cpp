@@ -69,11 +69,14 @@ void ServeServer::acceptLoop() {
       std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) return;
     }
+    // requestStop() only sets stopping_: the listener stays open until
+    // this thread has been joined, so the 200 ms poll is what notices it.
     net::Socket socket;
     try {
       socket = listener_.accept(200);
-    } catch (const McError&) {
-      return;  // listener closed by requestStop
+    } catch (const McError& e) {
+      log::warn("serve: accept failed, no new connections: " + e.message());
+      return;
     }
     if (!socket.valid()) continue;
     std::lock_guard<std::mutex> lock(threadsMutex_);
@@ -382,10 +385,8 @@ void ServeServer::finalizeRemaining() {
 void ServeServer::requestStop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
     stopping_ = true;
   }
-  listener_.close();  // wakes the accept poll
 }
 
 void ServeServer::wait() {
@@ -395,6 +396,7 @@ void ServeServer::wait() {
     stopped_ = true;
   }
   if (acceptThread_.joinable()) acceptThread_.join();
+  listener_.close();
 
   // Drain: give in-flight leases a bounded chance to be acked (store/row)
   // over the still-open connections before those are cut.

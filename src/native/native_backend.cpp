@@ -10,8 +10,10 @@
 #include <omp.h>
 #endif
 
+#include "launcher/explore.hpp"
 #include "native/affinity.hpp"
 #include "native/timing.hpp"
+#include "support/envinfo.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 
@@ -43,10 +45,21 @@ struct AlignedBuffer {
   ~AlignedBuffer() { std::free(raw); }
 
   static AlignedBuffer allocate(const ArraySpec& spec) {
+    // Past 2^63 no power of two is left to round up to: the doubling would
+    // wrap to 0 and spin forever.
+    if (spec.alignment > (std::uint64_t{1} << 63)) {
+      throw ExecutionError("array alignment " +
+                           std::to_string(spec.alignment) +
+                           " has no power of two to round up to");
+    }
     std::size_t alignment = 64;
     while (alignment < spec.alignment) alignment <<= 1;
     AlignedBuffer buf;
-    std::size_t total = spec.bytes + spec.offset + launcher::kArraySlackBytes;
+    std::size_t total = 0;
+    if (__builtin_add_overflow(spec.bytes, spec.offset, &total) ||
+        __builtin_add_overflow(total, launcher::kArraySlackBytes, &total)) {
+      throw ExecutionError("array size plus offset overflows");
+    }
     if (posix_memalign(&buf.raw, alignment, total) != 0) {
       throw ExecutionError("cannot allocate kernel array");
     }
@@ -416,6 +429,41 @@ InvokeResult NativeBackend::invokeOpenMp(launcher::KernelHandle& kernel,
   }
   std::uint64_t t1 = readTsc();
   return InvokeResult{static_cast<double>(t1 - t0), totalIterations};
+}
+
+void useNativeBackend(launcher::ExploreOptions& options) {
+  if (options.backend != "native") return;
+  NativeBackendOptions nb;
+  nb.compileCacheDir = options.compileCacheDir;
+  nb.perfCounters = options.perfCounters;
+  options.backendFactory = [nb](int) {
+    return std::make_unique<NativeBackend>(nb);
+  };
+  options.backendId = "native";
+}
+
+std::unique_ptr<launcher::CampaignCsvSink> openCampaignCsv(
+    launcher::ExploreOptions& options) {
+  if (options.csvPath.empty()) return nullptr;
+  // Resume: variants already terminal in the file (ok rows, cache hits,
+  // verify-strict skips, errors) are skipped and NOT re-appended, so
+  // rerunning with the same --csv never grows the file. A halving search
+  // resumes per round instead — the planner reads the file itself, round
+  // by round, and backfills the skipped rows' metrics for ranking.
+  if (options.search == launcher::SearchMode::Halving) {
+    options.planner.resumeCsv = options.csvPath;
+  } else {
+    options.campaign.completed =
+        launcher::readCompletedVariants(options.csvPath);
+  }
+  // The preamble makes two campaign CSVs comparable on their face
+  // (bench-diff reports drift).
+  env::EnvSnapshot snapshot = env::captureEnv();
+  if (options.backend == "native") {
+    snapshot.set("compiler", compilerIdentity(options.compileCacheDir));
+  }
+  return std::make_unique<launcher::CampaignCsvSink>(
+      options.csvPath, env::toCsvComments(snapshot));
 }
 
 }  // namespace microtools::native

@@ -8,6 +8,11 @@
 #include "native/compile.hpp"
 #include "native/perf_counters.hpp"
 
+namespace microtools::launcher {
+struct ExploreOptions;
+class CampaignCsvSink;
+}  // namespace microtools::launcher
+
 namespace microtools::native {
 
 /// Construction knobs for NativeBackend.
@@ -106,5 +111,19 @@ class NativeBackend final : public launcher::Backend {
   std::mutex retainedMutex_;
   std::vector<std::shared_ptr<SharedObject>> retainedObjects_;
 };
+
+/// The `--backend native` wiring of microlauncher and microtools explore:
+/// when options.backend is "native", every worker gets its own NativeBackend
+/// (options.compileCacheDir, options.perfCounters) under the "native" cache
+/// identity. Any other backend is left to launcher::backendFactoryFor.
+void useNativeBackend(launcher::ExploreOptions& options);
+
+/// Opens the campaign CSV at options.csvPath (null when it is empty) and
+/// wires its resume: a full sweep skips the variants already terminal in
+/// the file, a halving search resumes round by round. A new file starts
+/// with the environment preamble, which names the compiler on the native
+/// backend (the reason this lives on the native side).
+std::unique_ptr<launcher::CampaignCsvSink> openCampaignCsv(
+    launcher::ExploreOptions& options);
 
 }  // namespace microtools::native

@@ -59,11 +59,13 @@ class Listener {
   const std::string& boundSpec() const { return boundSpec_; }
 
   /// Waits up to `timeoutMs` for a connection; an invalid Socket on
-  /// timeout. Throws on listener errors (including a concurrent close()).
+  /// timeout. Throws on listener errors.
   Socket accept(int timeoutMs);
 
-  /// Closes the listening descriptor (and unlinks a Unix socket path),
-  /// waking any accept() blocked in poll.
+  /// Closes the listening descriptor (and unlinks a Unix socket path).
+  /// Not synchronized with accept(): stop and join the thread polling in
+  /// accept() first (its timeout bounds the wait), or it would read a
+  /// closed, possibly reused, descriptor.
   void close();
 
  private:

@@ -44,6 +44,10 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// line-oriented format (cache records, wire-protocol fields).
 std::string escapeLineBreaks(std::string_view s);
 
+/// Escapes `s` for the inside of a JSON string literal: quote, backslash,
+/// \n, \r and \t by name, every other control byte as \u00XX.
+std::string jsonEscape(std::string_view s);
+
 /// Inverse of escapeLineBreaks; unknown escapes decode to the literal
 /// character (forward compatible with later escape additions).
 std::string unescapeLineBreaks(std::string_view s);

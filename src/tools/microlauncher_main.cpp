@@ -13,12 +13,9 @@
 #include "launcher/explore.hpp"
 #include "launcher/launcher.hpp"
 #include "launcher/options.hpp"
-#include "launcher/sim_backend.hpp"
 #include "native/affinity.hpp"
-#include "native/compile.hpp"
 #include "native/native_backend.hpp"
 #include "native/timing.hpp"
-#include "support/envinfo.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
@@ -42,18 +39,6 @@ std::string detectKind(const LauncherOptions& options) {
   if (strings::endsWith(options.inputFile, ".c")) return "c";
   if (strings::endsWith(options.inputFile, ".so")) return "so";
   return "asm";
-}
-
-std::unique_ptr<launcher::Backend> makeBackend(const LauncherOptions& o) {
-  if (o.backend == "native") {
-    native::NativeBackendOptions nb;
-    nb.compileCacheDir = o.compileCacheDir;
-    nb.perfCounters = o.perfCounters;
-    return std::make_unique<native::NativeBackend>(std::move(nb));
-  }
-  sim::MachineConfig config = launcher::archByName(o.arch).config;
-  if (o.coreGHz) config.coreGHz = *o.coreGHz;
-  return std::make_unique<launcher::SimBackend>(config);
 }
 
 std::unique_ptr<launcher::KernelHandle> loadKernel(
@@ -112,101 +97,39 @@ int runCampaign(const LauncherOptions& options) {
 
   // A campaign directory is explored like generated variants, minus the
   // measurement cache.
-  launcher::ExploreOptions explore;
-  explore.backend = options.backend;
-  explore.arch = options.arch;
-  explore.coreGHz = options.coreGHz;
-  explore.backendFactory = [&options](int) { return makeBackend(options); };
+  launcher::ExploreOptions explore = options.explore;
   explore.useCache = false;
-  // Static cost-model annotation (pred_cpi_lo/pred_bound/pred_err CSV
-  // columns), priced against --arch; --no-predict turns it off.
-  explore.predict = options.predict;
-  explore.connectAddr = options.connectAddr;
-  explore.workerName = options.workerName;
-
-  launcher::CampaignOptions& campaign = explore.campaign;
-  campaign.jobs = options.jobs;
-  campaign.protocol = options.toProtocol();
-  campaign.maxCv = options.maxCv;
-  campaign.maxRepetitions = options.maxRepetitions;
-  campaign.variantTimeoutMs = options.variantTimeoutMs;
-  campaign.compileJobs = options.compileJobs;
-  campaign.compileBatch = options.compileBatch;
-  campaign.verify = launcher::verifyModeFromName(options.verifyMode);
-  // Native workers time on real cores: spread them so they don't fight
-  // over one. The simulator pins inside its own machine model instead.
-  campaign.pinWorkers = options.backend == "native";
-
-  bool halving = options.searchMode == "halving";
-  if (halving) {
-    explore.search = launcher::SearchMode::Halving;
-    explore.planner.screenRepetitions = options.screenRepetitions;
-    explore.planner.stableScreenRepetitions = options.stableScreenRepetitions;
-    explore.planner.budget = launcher::parseBudget(options.budget);
-  }
-
-  // Resuming into an existing CSV: rows already completed there are
-  // skipped, so an interrupted campaign restart pays only for what is
-  // missing. A halving search resumes per round instead — the planner
-  // reads the file round by round.
-  if (!options.csvOutput.empty()) {
-    if (halving) {
-      explore.planner.resumeCsv = options.csvOutput;
-    } else {
-      campaign.completed = launcher::readCompletedVariants(options.csvOutput);
-    }
-  }
-
   // Stream rows as variants finish — to the CSV file when given (append-safe
-  // across reruns), to stdout otherwise.
-  std::unique_ptr<launcher::CampaignCsvSink> sink;
-  if (!options.csvOutput.empty()) {
-    // New files get an environment-snapshot preamble so two campaign CSVs
-    // are comparable on their face (bench-diff reports drift).
-    env::EnvSnapshot snapshot = env::captureEnv();
-    if (options.backend == "native") {
-      snapshot.set("compiler",
-                   native::compilerIdentity(options.compileCacheDir));
-    }
-    sink = std::make_unique<launcher::CampaignCsvSink>(
-        options.csvOutput, env::toCsvComments(snapshot));
-  } else {
-    sink = std::make_unique<launcher::CampaignCsvSink>(std::cout);
-  }
+  // across reruns, resumed), to stdout otherwise.
+  std::unique_ptr<launcher::CampaignCsvSink> sink =
+      native::openCampaignCsv(explore);
+  if (!sink) sink = std::make_unique<launcher::CampaignCsvSink>(std::cout);
 
   launcher::ExploreResult result = launcher::exploreVariants(
       explore, launcher::vectorSource(variants), options.toRequest(),
       sink.get());
-  if (!options.connectAddr.empty()) {
+  bool toFile = !explore.csvPath.empty();
+  if (!explore.connectAddr.empty()) {
     const launcher::CacheTelemetry& t = result.cacheTelemetry;
     std::fprintf(stderr, "service: %s (%llu hit(s), %llu lease(s) "
                  "measured)\n",
-                 options.connectAddr.c_str(),
+                 explore.connectAddr.c_str(),
                  static_cast<unsigned long long>(t.hits),
                  static_cast<unsigned long long>(t.misses));
-  } else if (halving && !options.csvOutput.empty()) {
+  } else if (explore.search == launcher::SearchMode::Halving && toFile) {
     std::printf("halving: %zu of %zu variant(s) at full fidelity after "
                 "%zu round(s), %lld work repetition(s), stop: %s\n",
                 result.fullFidelityVariants, variants.size(),
                 result.rounds.size(), result.workRepetitions,
                 result.stopReason.c_str());
   }
-
-  int failures = 0, skipped = 0;
-  for (const launcher::VariantResult& r : result.results) {
-    if (r.status == "skipped") {
-      ++skipped;
-    } else if (r.status != "ok") {
-      ++failures;
-    }
+  if (toFile) {
+    std::printf("campaign: %zu variant(s), %zu skipped (resumed or failed "
+                "verification), %zu failed\n",
+                result.results.size(), result.skipped, result.failures);
   }
-  if (!options.csvOutput.empty()) {
-    std::printf("campaign: %zu variant(s), %d skipped (resumed or failed "
-                "verification), %d failed\n",
-                result.results.size(), skipped, failures);
-  }
-  if (failures > 0) {
-    log::warn(std::to_string(failures) + " of " +
+  if (result.failures > 0) {
+    log::warn(std::to_string(result.failures) + " of " +
               std::to_string(result.results.size()) +
               " variants did not complete");
   }
@@ -214,12 +137,13 @@ int runCampaign(const LauncherOptions& options) {
 }
 
 void emitCsv(const LauncherOptions& options, const csv::Table& table) {
-  if (options.csvOutput.empty()) {
+  const std::string& path = options.explore.csvPath;
+  if (path.empty()) {
     table.write(std::cout);
     return;
   }
-  std::ofstream out(options.csvOutput, std::ios::binary);
-  if (!out) throw McError("cannot write CSV file: " + options.csvOutput);
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw McError("cannot write CSV file: " + path);
   table.write(out);
 }
 
@@ -230,7 +154,7 @@ int main(int argc, char** argv) {
   try {
     if (!parser.parse(argc, argv)) return 0;
     LauncherOptions options = launcher::optionsFromParser(parser);
-    if (options.verbose) log::setLevel(log::Level::Info);
+    native::useNativeBackend(options.explore);
 
     if (options.listArch) {
       for (const launcher::ArchEntry& entry : launcher::table1()) {
@@ -250,10 +174,11 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    launcher::MicroLauncher ml(makeBackend(options));
+    launcher::MicroLauncher ml(launcher::backendFactoryFor(options.explore)(0));
     auto kernel = loadKernel(ml.backend(), options);
     launcher::KernelRequest request = options.toRequest();
-    launcher::ProtocolOptions protocol = options.toProtocol();
+    const launcher::ProtocolOptions& protocol =
+        options.explore.campaign.protocol;
 
     if (options.useOpenMp) {
       launcher::InvokeResult r = ml.openmp(*kernel, request, options.threads,

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -15,12 +16,10 @@
 #include "launcher/arch_registry.hpp"
 #include "launcher/bench_diff.hpp"
 #include "launcher/explore.hpp"
+#include "launcher/options.hpp"
 #include "launcher/serve.hpp"
-#include "launcher/sim_backend.hpp"
-#include "native/compile.hpp"
 #include "native/native_backend.hpp"
 #include "support/cli.hpp"
-#include "support/envinfo.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
@@ -66,12 +65,7 @@ cli::Parser makeExploreParser() {
       "Generates all variants of an XML kernel description, measures them "
       "in-memory as one campaign, and reports the top-K fastest. A "
       "content-addressed cache skips every measurement already on disk.");
-  parser.addString("input", "XML kernel description file");
-  parser.addString("backend", "Execution backend: sim|native", "sim");
-  parser.addString("arch", "Simulated machine (see microlauncher --list-arch)",
-                   "nehalem_x5650_2s");
-  parser.addDouble("core-ghz", "Override the core frequency (DVFS study)");
-  parser.addInt("jobs", "Parallel worker threads", 1);
+  launcher::addExploreFlags(parser, 0, "XML kernel description file");
   parser.addInt("generate-jobs",
                 "Worker threads for the per-kernel generation stages "
                 "(variant expansion, code emission, verification); output "
@@ -81,97 +75,16 @@ cli::Parser makeExploreParser() {
                  "Start measuring as soon as the first generated variant is "
                  "verified, overlapping generation and measurement (full "
                  "sweeps only; results are identical to the batch path)");
-  parser.addInt("inner", "Inner repetitions per timed experiment", 8);
-  parser.addInt("outer", "Outer (stability) repetitions", 10);
-  parser.addFlag("no-warmup", "Skip the cache warm-up call");
-  parser.addFlag("no-overhead", "Do not subtract timer overhead");
-  parser.addDouble("max-cv",
-                   "Re-run a variant while its cycles/iteration CV exceeds "
-                   "this (0 disables)",
-                   0.05);
-  parser.addInt("max-repetitions",
-                "Total outer-repetition budget per variant", 40);
-  parser.addInt("variant-timeout-ms",
-                "Per-variant wall-clock budget (0 = none)", 0);
-  parser.addInt("compile-jobs",
-                "Compile-stage threads that batch-compile variants ahead of "
-                "the measurement workers, with or without --stream (native "
-                "backend; 0 = compile inline)",
-                0);
-  parser.addInt("compile-batch",
-                "Variants grouped into one compiler invocation", 8);
-  parser.addString("compile-cache-dir",
-                   "Persistent .so compile cache for the native backend "
-                   "(default: <--cache>/so; --no-cache disables unless set "
-                   "explicitly)");
-  parser.addInt("nbvectors",
-                "Arrays passed to the kernel (0 = derive from the generated "
-                "programs)",
-                0);
-  parser.addInt("array-bytes", "Size of each array in bytes", 1 << 20);
-  parser.addInt("alignment", "Array base alignment in bytes", 4096);
-  parser.addInt("align-offset", "Extra offset added to each array base", 0);
-  parser.addInt("element-bytes",
-                "Bytes per array element (4 = float, 8 = double)", 4);
-  parser.addInt("n", "Kernel trip count (default: first array's elements)");
   parser.addInt("max", "Override <maximum_benchmarks>");
   parser.addInt("seed", "Override <seed>");
-  parser.addString("search",
-                   "Variant-space walk: full measures every variant at the "
-                   "baseline protocol; halving screens everything cheaply, "
-                   "keeps the best half per round, and finishes the "
-                   "survivors at full fidelity",
-                   "full");
-  parser.addString("budget",
-                   "Halving search budget: '<seconds>s' wall-clock (e.g. "
-                   "30s) or a count of fresh variant measurements (cache "
-                   "hits are free); on exhaustion the best-so-far ranking "
-                   "is reported");
-  parser.addInt("screen-reps",
-                "Halving: outer repetitions of the round-0 screening pass",
-                1);
-  parser.addInt("stable-screen-reps",
-                "Halving: screening repetitions for variants the static "
-                "stability analysis proves tight (regular L1-resident loop, "
-                "no loop-carried load); only applies when below "
-                "--screen-reps",
-                1);
-  parser.addFlag("no-predict",
-                 "Disable the static cost model: no pred_cpi_lo/pred_bound "
-                 "CSV columns, no predicted screening order, no "
-                 "stability-reduced screening repetitions");
   parser.addString("cache", "Measurement cache directory",
                    ".microtools-cache");
   parser.addFlag("no-cache", "Disable the measurement cache");
   parser.addFlag("sim-exact",
                  "Force full cycle simulation (no steady-state extrapolation "
                  "or warm-invoke memoization); bit-identical, only slower");
-  parser.addString("verify",
-                   "Static pre-flight verification of generated variants — "
-                   "strict skips variants with error-level diagnostics "
-                   "before they can crash the campaign; warn only annotates "
-                   "the CSV; off disables the check",
-                   "strict");
-  parser.addFlag("no-perf-counters",
-                 "Do not open perf_event counter groups around native "
-                 "kernel calls (rdtsc timing only; counter-derived CSV "
-                 "columns stay empty)");
   parser.addInt("top", "Rank the K best variants (0 = all)", 10);
-  parser.addString("csv",
-                   "Stream the full campaign CSV to this file (append-safe; "
-                   "variants already terminal in the file are resumed, not "
-                   "re-measured or re-appended)");
   parser.addString("report", "Write the ranked report here instead of stdout");
-  parser.addString("connect",
-                   "Shard this campaign against a `microtools serve` daemon "
-                   "at host:port or unix:/path — the daemon owns the "
-                   "measurement cache and hands out work leases, so several "
-                   "workers split one campaign without duplicating "
-                   "measurements (full sweeps only)");
-  parser.addString("worker-name",
-                   "Name reported in the daemon's telemetry (default: the "
-                   "worker's pid)");
-  parser.addFlag("verbose", "Enable info logging");
   return parser;
 }
 
@@ -179,51 +92,16 @@ cli::Parser makeExploreParser() {
 int runExploreCommand(int argc, char** argv) {
   cli::Parser parser = makeExploreParser();
   if (!parser.parse(argc, argv)) return 0;  // --help handled
-
-  launcher::ExploreOptions options;
-  if (parser.has("input")) {
-    options.descriptionFile = parser.getString("input");
-  } else if (!parser.positional().empty()) {
-    options.descriptionFile = parser.positional().front();
-  } else {
+  if (!parser.has("input") && parser.positional().empty()) {
     std::fprintf(stderr, "error: no kernel description (see --help)\n");
     return 2;
   }
-  options.backend = parser.getString("backend");
-  options.arch = parser.getString("arch");
-  if (parser.has("core-ghz")) options.coreGHz = parser.getDouble("core-ghz");
-  options.campaign.jobs = static_cast<int>(parser.getInt("jobs"));
+
+  launcher::ExploreOptions options = launcher::exploreOptionsFromParser(parser);
+  options.descriptionFile = parser.has("input") ? parser.getString("input")
+                                                : parser.positional().front();
   options.generateJobs = static_cast<int>(parser.getInt("generate-jobs"));
   options.stream = parser.getFlag("stream");
-  options.campaign.protocol.innerRepetitions =
-      static_cast<int>(parser.getInt("inner"));
-  options.campaign.protocol.outerRepetitions =
-      static_cast<int>(parser.getInt("outer"));
-  options.campaign.protocol.warmup = !parser.getFlag("no-warmup");
-  options.campaign.protocol.subtractOverhead = !parser.getFlag("no-overhead");
-  options.campaign.maxCv = parser.getDouble("max-cv");
-  options.campaign.maxRepetitions =
-      static_cast<int>(parser.getInt("max-repetitions"));
-  options.campaign.variantTimeoutMs =
-      static_cast<int>(parser.getInt("variant-timeout-ms"));
-  options.campaign.compileJobs =
-      static_cast<int>(parser.getInt("compile-jobs"));
-  options.campaign.compileBatch =
-      static_cast<int>(parser.getInt("compile-batch"));
-  options.campaign.pinWorkers = options.backend == "native";
-  options.campaign.verify =
-      launcher::verifyModeFromName(parser.getString("verify"));
-  options.nbVectors = static_cast<int>(parser.getInt("nbvectors"));
-  options.arrayBytes =
-      static_cast<std::uint64_t>(parser.getInt("array-bytes"));
-  options.alignment = static_cast<std::uint64_t>(parser.getInt("alignment"));
-  options.alignOffset =
-      static_cast<std::uint64_t>(parser.getInt("align-offset"));
-  options.elementBytes =
-      static_cast<std::uint64_t>(parser.getInt("element-bytes"));
-  if (parser.has("n")) {
-    options.tripCount = static_cast<int>(parser.getInt("n"));
-  }
   if (parser.has("max")) {
     options.maxVariants = static_cast<std::size_t>(parser.getInt("max"));
   }
@@ -233,66 +111,15 @@ int runExploreCommand(int argc, char** argv) {
   options.cacheDir = parser.getString("cache");
   options.useCache = !parser.getFlag("no-cache");
   options.simExact = parser.getFlag("sim-exact");
-  options.search = launcher::searchModeFromName(parser.getString("search"));
-  if (parser.has("budget")) {
-    options.planner.budget = launcher::parseBudget(parser.getString("budget"));
-  }
-  options.planner.screenRepetitions =
-      static_cast<int>(parser.getInt("screen-reps"));
-  options.planner.stableScreenRepetitions =
-      static_cast<int>(parser.getInt("stable-screen-reps"));
-  options.predict = !parser.getFlag("no-predict");
-  if (parser.has("connect")) {
-    options.connectAddr = parser.getString("connect");
-    if (parser.has("worker-name")) {
-      options.workerName = parser.getString("worker-name");
-    }
-  }
-  if (parser.getFlag("verbose")) log::setLevel(log::Level::Info);
-
   // Compile cache (native backend): defaults to a "so" subdirectory of the
   // measurement cache, so one --cache flag governs both; --no-cache turns it
   // off unless the user asked for a compile cache dir explicitly.
-  std::string compileCacheDir;
-  if (parser.has("compile-cache-dir")) {
-    compileCacheDir = parser.getString("compile-cache-dir");
-  } else if (options.useCache) {
-    compileCacheDir = options.cacheDir + "/so";
+  if (!parser.has("compile-cache-dir") && options.useCache) {
+    options.compileCacheDir = options.cacheDir + "/so";
   }
-  if (options.backend == "native") {
-    bool perfCounters = !parser.getFlag("no-perf-counters");
-    options.backendFactory = [compileCacheDir, perfCounters](int) {
-      native::NativeBackendOptions nb;
-      nb.compileCacheDir = compileCacheDir;
-      nb.perfCounters = perfCounters;
-      return std::make_unique<native::NativeBackend>(std::move(nb));
-    };
-    options.backendId = "native";
-  } else if (options.backend != "sim") {
-    std::fprintf(stderr, "error: --backend must be sim or native\n");
-    return 2;
-  }
-
-  std::unique_ptr<launcher::CampaignCsvSink> sink;
-  if (parser.has("csv")) {
-    std::string csvPath = parser.getString("csv");
-    // Resume: variants already terminal in the file (ok rows, cache hits,
-    // verify-strict skips, errors) are skipped and NOT re-appended, so
-    // rerunning with the same --csv never grows the file. A halving search
-    // resumes per round instead — the planner reads the file itself, round
-    // by round, and backfills the skipped rows' metrics for ranking.
-    if (options.search == launcher::SearchMode::Halving) {
-      options.planner.resumeCsv = csvPath;
-    } else {
-      options.campaign.completed = launcher::readCompletedVariants(csvPath);
-    }
-    env::EnvSnapshot snapshot = env::captureEnv();
-    if (options.backend == "native") {
-      snapshot.set("compiler", native::compilerIdentity(compileCacheDir));
-    }
-    sink = std::make_unique<launcher::CampaignCsvSink>(
-        csvPath, env::toCsvComments(snapshot));
-  }
+  native::useNativeBackend(options);
+  std::unique_ptr<launcher::CampaignCsvSink> sink =
+      native::openCampaignCsv(options);
 
   launcher::ExploreResult result =
       launcher::runExplore(options, sink.get());
@@ -346,6 +173,44 @@ int runExploreCommand(int argc, char** argv) {
   return result.failures == 0 ? 0 : 1;
 }
 
+/// Runs `fn(label, asmText, arrayCount)` over the units lint and analyze
+/// check: --input, then the positional paths. An .xml description yields
+/// every program it generates, labelled path:name, with the arrays it
+/// uses; any other path is one assembly unit of unknown array count (0).
+/// `raw` drops MicroCreator's own Verification pass, which would silently
+/// discard the very variants lint exists to report on. Returns false, after
+/// a usage error naming `verb`, when there is no input.
+bool forEachUnit(
+    const cli::Parser& parser, const char* verb, bool raw,
+    const std::function<void(const std::string&, const std::string&, int)>&
+        fn) {
+  std::vector<std::string> inputs = parser.positional();
+  if (parser.has("input")) {
+    inputs.insert(inputs.begin(), parser.getString("input"));
+  }
+  if (inputs.empty()) {
+    std::fprintf(stderr,
+                 "error: no input (.s or .xml) to %s (see --help)\n", verb);
+    return false;
+  }
+  for (const std::string& path : inputs) {
+    if (!strings::endsWith(path, ".xml")) {
+      std::ifstream in(path, std::ios::binary);
+      if (!in) throw McError("cannot open input file: " + path);
+      std::ostringstream oss;
+      oss << in.rdbuf();
+      fn(path, oss.str(), 0);
+      continue;
+    }
+    creator::MicroCreator creator;
+    if (raw) creator.passManager().removePass("Verification");
+    for (const creator::GeneratedProgram& p : creator.generateFromFile(path)) {
+      fn(path + ":" + p.name, p.asmText, p.arrayCount);
+    }
+  }
+  return true;
+}
+
 cli::Parser makeLintParser() {
   cli::Parser parser(
       "microtools lint",
@@ -359,16 +224,7 @@ cli::Parser makeLintParser() {
   parser.addString("input", "Kernel assembly (.s) or description (.xml); "
                             "extra positional paths are linted too");
   parser.addFlag("json", "Emit one JSON object per diagnostic (JSON lines)");
-  parser.addInt("nbvectors",
-                "Arrays passed to the kernel (0 = derive from the generated "
-                "program, or assume the SysV maximum for .s files)",
-                0);
-  parser.addInt("array-bytes", "Size of each array in bytes", 1 << 20);
-  parser.addInt("alignment", "Array base alignment in bytes", 4096);
-  parser.addInt("align-offset", "Extra offset added to each array base", 0);
-  parser.addInt("element-bytes",
-                "Bytes per array element (4 = float, 8 = double)", 4);
-  parser.addInt("n", "Kernel trip count (default: first array's elements)");
+  launcher::addGeometryFlags(parser, 0);
   parser.addFlag("verbose", "Enable info logging");
   return parser;
 }
@@ -376,48 +232,31 @@ cli::Parser makeLintParser() {
 int runLintCommand(int argc, char** argv) {
   cli::Parser parser = makeLintParser();
   if (!parser.parse(argc, argv)) return 0;  // --help handled
-
-  std::vector<std::string> inputs = parser.positional();
-  if (parser.has("input")) {
-    inputs.insert(inputs.begin(), parser.getString("input"));
-  }
-  if (inputs.empty()) {
-    std::fprintf(stderr, "error: no input (.s or .xml) to lint "
-                         "(see --help)\n");
-    return 2;
-  }
   if (parser.getFlag("verbose")) log::setLevel(log::Level::Info);
 
   bool json = parser.getFlag("json");
-  auto arrayBytes = static_cast<std::size_t>(parser.getInt("array-bytes"));
-  auto alignment = static_cast<std::size_t>(parser.getInt("alignment"));
-  auto alignOffset = static_cast<std::size_t>(parser.getInt("align-offset"));
-  auto elementBytes = static_cast<std::size_t>(parser.getInt("element-bytes"));
-  int nbVectors = static_cast<int>(parser.getInt("nbvectors"));
-  if (elementBytes == 0) {
-    std::fprintf(stderr, "error: --element-bytes must be > 0\n");
-    return 2;
-  }
-  std::int64_t tripCount =
-      parser.has("n") ? static_cast<std::int64_t>(parser.getInt("n"))
-                      : static_cast<std::int64_t>(arrayBytes / elementBytes);
+  launcher::ExploreOptions geometry;
+  launcher::geometryFromParser(parser, geometry);
 
   std::size_t totalErrors = 0;
   std::size_t totalWarnings = 0;
   std::size_t totalUnits = 0;
 
-  // Lints one assembly unit under the same launch geometry the explore
-  // driver would use (so lint verdicts match the campaign pre-flight).
+  // Lints one assembly unit under the launch geometry the explore driver
+  // would use, from the same request builder (so lint verdicts match the
+  // campaign pre-flight); a bare .s file gets the SysV maximum of 5 arrays.
   auto lintUnit = [&](const std::string& label, const std::string& asmText,
                       int arrayCount) {
+    int arrays = geometry.nbVectors > 0 ? geometry.nbVectors : arrayCount;
+    launcher::KernelRequest request =
+        launcher::kernelRequest(geometry, arrays > 0 ? arrays : 5);
     verify::VerifyOptions options;
-    if (arrayCount > 0) options.arrayCount = arrayCount;
+    if (arrays > 0) options.arrayCount = arrays;
     verify::LaunchContext context;
-    context.tripCount = tripCount;
-    int arrays = arrayCount > 0 ? arrayCount : 5;
-    for (int i = 0; i < arrays; ++i) {
+    context.tripCount = request.n;
+    for (const launcher::ArraySpec& a : request.arrays) {
       context.arrays.push_back(
-          verify::ArrayExtent{arrayBytes, alignment, alignOffset});
+          verify::ArrayExtent{a.bytes, a.alignment, a.offset});
     }
     options.context = std::move(context);
     verify::VerifyReport report = verify::verifyAssembly(asmText, options);
@@ -428,27 +267,7 @@ int runLintCommand(int argc, char** argv) {
                                 : verify::renderText(report, label);
     std::fputs(rendered.c_str(), stdout);
   };
-
-  for (const std::string& path : inputs) {
-    if (strings::endsWith(path, ".xml")) {
-      creator::MicroCreator creator;
-      // The pipeline's own Verification pass would silently drop the very
-      // variants lint exists to report on; run the raw emitted programs.
-      creator.passManager().removePass("Verification");
-      std::vector<creator::GeneratedProgram> programs =
-          creator.generateFromFile(path);
-      for (const creator::GeneratedProgram& p : programs) {
-        int arrays = nbVectors > 0 ? nbVectors : p.arrayCount;
-        lintUnit(path + ":" + p.name, p.asmText, arrays);
-      }
-    } else {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) throw McError("cannot open input file: " + path);
-      std::ostringstream oss;
-      oss << in.rdbuf();
-      lintUnit(path, oss.str(), nbVectors);
-    }
-  }
+  if (!forEachUnit(parser, "lint", true, lintUnit)) return 2;
   if (!json) {
     std::printf("lint: %zu unit(s), %zu error(s), %zu warning(s)\n",
                 totalUnits, totalErrors, totalWarnings);
@@ -484,40 +303,9 @@ cli::Parser makeAnalyzeParser() {
   return parser;
 }
 
-std::string analyzeJsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strings::format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 int runAnalyzeCommand(int argc, char** argv) {
   cli::Parser parser = makeAnalyzeParser();
   if (!parser.parse(argc, argv)) return 0;  // --help handled
-
-  std::vector<std::string> inputs = parser.positional();
-  if (parser.has("input")) {
-    inputs.insert(inputs.begin(), parser.getString("input"));
-  }
-  if (inputs.empty()) {
-    std::fprintf(stderr, "error: no input (.s or .xml) to analyze "
-                         "(see --help)\n");
-    return 2;
-  }
   if (parser.getFlag("verbose")) log::setLevel(log::Level::Info);
 
   bool json = parser.getFlag("json");
@@ -532,6 +320,7 @@ int runAnalyzeCommand(int argc, char** argv) {
 
   auto analyzeUnit = [&](const std::string& label, const std::string& asmText,
                          int arrayCount) {
+    if (nbVectors > 0) arrayCount = nbVectors;
     ++totalUnits;
     verify::CyclePrediction p = verify::predictAssembly(asmText, model);
     verify::StabilityOptions geometry;
@@ -545,10 +334,10 @@ int runAnalyzeCommand(int argc, char** argv) {
 
     if (json) {
       std::ostringstream out;
-      out << "{\"source\":\"" << analyzeJsonEscape(label) << "\"";
+      out << "{\"source\":\"" << strings::jsonEscape(label) << "\"";
       if (p.valid) {
         out << ",\"pred_cpi_lo\":" << strings::format("%.6g", p.cyclesLowerBound())
-            << ",\"bound\":\"" << analyzeJsonEscape(p.binding) << "\""
+            << ",\"bound\":\"" << strings::jsonEscape(p.binding) << "\""
             << ",\"frontend_bound\":" << strings::format("%.6g", p.frontendBound)
             << ",\"throughput_bound\":"
             << strings::format("%.6g", p.throughputBound)
@@ -558,7 +347,7 @@ int runAnalyzeCommand(int argc, char** argv) {
         for (std::size_t i = 0; i < p.pressure.size(); ++i) {
           const verify::PortPressure& port = p.pressure[i];
           out << (i ? "," : "") << "{\"unit\":\""
-              << analyzeJsonEscape(port.unit) << "\",\"occupancy\":"
+              << strings::jsonEscape(port.unit) << "\",\"occupancy\":"
               << strings::format("%.6g", port.occupancy)
               << ",\"ports\":" << port.ports
               << ",\"bound\":" << strings::format("%.6g", port.bound()) << "}";
@@ -576,7 +365,7 @@ int runAnalyzeCommand(int argc, char** argv) {
           << ",\"stable\":" << (s.stable() ? "true" : "false") << "}";
       out << ",\"warnings\":[";
       for (std::size_t i = 0; i < p.warnings.size(); ++i) {
-        out << (i ? "," : "") << "\"" << analyzeJsonEscape(p.warnings[i])
+        out << (i ? "," : "") << "\"" << strings::jsonEscape(p.warnings[i])
             << "\"";
       }
       out << "]}\n";
@@ -608,25 +397,9 @@ int runAnalyzeCommand(int argc, char** argv) {
     }
   };
 
-  for (const std::string& path : inputs) {
-    if (strings::endsWith(path, ".xml")) {
-      // Analyze the variants explore would measure: the pipeline's own
-      // Verification pass stays on, so the unit set matches the campaign.
-      creator::MicroCreator creator;
-      std::vector<creator::GeneratedProgram> programs =
-          creator.generateFromFile(path);
-      for (const creator::GeneratedProgram& p : programs) {
-        int arrays = nbVectors > 0 ? nbVectors : p.arrayCount;
-        analyzeUnit(path + ":" + p.name, p.asmText, arrays);
-      }
-    } else {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) throw McError("cannot open input file: " + path);
-      std::ostringstream oss;
-      oss << in.rdbuf();
-      analyzeUnit(path, oss.str(), nbVectors);
-    }
-  }
+  // Analyzes the variants explore would measure: the pipeline's own
+  // Verification pass stays on, so the unit set matches the campaign.
+  if (!forEachUnit(parser, "analyze", false, analyzeUnit)) return 2;
   if (!json) {
     std::printf("analyze: %zu unit(s), %zu without a valid bound\n",
                 totalUnits, unbounded);

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 #include "verify/cfg.hpp"
 #include "verify/costmodel.hpp"
 #include "verify/dataflow.hpp"
@@ -719,28 +720,6 @@ class Checker {
   VerifyReport report_;
 };
 
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string_view severityName(Severity s) {
@@ -827,10 +806,10 @@ std::string renderJsonLines(const VerifyReport& report,
                             std::string_view source) {
   std::ostringstream out;
   for (const Diagnostic& d : report.diagnostics) {
-    out << "{\"source\":\"" << jsonEscape(source) << "\",\"rule\":\""
+    out << "{\"source\":\"" << strings::jsonEscape(source) << "\",\"rule\":\""
         << d.rule << "\",\"severity\":\"" << severityName(d.severity)
         << "\",\"line\":" << d.line << ",\"column\":" << d.column
-        << ",\"message\":\"" << jsonEscape(d.message) << "\"}\n";
+        << ",\"message\":\"" << strings::jsonEscape(d.message) << "\"}\n";
   }
   return out.str();
 }

@@ -435,6 +435,16 @@ TEST(Alignment, SaturatedConfigurationsAreDistinct) {
   EXPECT_EQ(unique.size(), configs.size());
 }
 
+TEST(Alignment, HugeStepYieldsOneOffsetPerArray) {
+  // ceil(range / step) must not wrap to 0, and then divide by it, for a
+  // step near 2^64.
+  AlignmentSweepSpec spec;
+  spec.step = ~0ull - 63;
+  auto configs = alignmentConfigurations(2, spec);
+  ASSERT_EQ(configs.size(), 1u);
+  EXPECT_EQ(configs[0], (std::vector<std::uint64_t>{0, 0}));
+}
+
 TEST(Alignment, Validation) {
   AlignmentSweepSpec bad;
   bad.step = 0;
@@ -483,21 +493,21 @@ TEST(Options, ParserRoundTrip) {
        "--threads", "8", "--no-warmup"}));
   LauncherOptions o = optionsFromParser(parser);
   EXPECT_EQ(o.inputFile, "k.s");
-  EXPECT_EQ(o.nbVectors, 3);
-  EXPECT_EQ(o.arrayBytes, 8192u);
-  EXPECT_EQ(o.alignment, 64u);
-  EXPECT_EQ(o.alignOffset, 16u);
-  EXPECT_EQ(o.innerRepetitions, 5);
-  EXPECT_EQ(o.outerRepetitions, 7);
+  EXPECT_EQ(o.explore.nbVectors, 3);
+  EXPECT_EQ(o.explore.arrayBytes, 8192u);
+  EXPECT_EQ(o.explore.alignment, 64u);
+  EXPECT_EQ(o.explore.alignOffset, 16u);
+  EXPECT_EQ(o.explore.campaign.protocol.innerRepetitions, 5);
+  EXPECT_EQ(o.explore.campaign.protocol.outerRepetitions, 7);
   EXPECT_EQ(o.pinCore, 2);
   EXPECT_EQ(o.processes, 6);
   EXPECT_EQ(o.pinPolicy, "compact");
-  EXPECT_EQ(o.arch, "nehalem_x7550_4s");
-  ASSERT_TRUE(o.coreGHz);
-  EXPECT_DOUBLE_EQ(*o.coreGHz, 1.6);
+  EXPECT_EQ(o.explore.arch, "nehalem_x7550_4s");
+  ASSERT_TRUE(o.explore.coreGHz);
+  EXPECT_DOUBLE_EQ(*o.explore.coreGHz, 1.6);
   EXPECT_TRUE(o.useOpenMp);
   EXPECT_EQ(o.threads, 8);
-  EXPECT_TRUE(o.noWarmup);
+  EXPECT_FALSE(o.explore.campaign.protocol.warmup);  // --no-warmup
 }
 
 TEST(Options, LauncherHasAtLeastThirtyOptions) {
@@ -515,11 +525,11 @@ TEST(Options, LauncherHasAtLeastThirtyOptions) {
 
 TEST(Options, DerivedRequest) {
   LauncherOptions o;
-  o.nbVectors = 2;
-  o.arrayBytes = 8192;
+  o.explore.nbVectors = 2;
+  o.explore.arrayBytes = 8192;
   o.arrayBytesPerVector = {4096};
-  o.alignment = 128;
-  o.alignOffset = 32;
+  o.explore.alignment = 128;
+  o.explore.alignOffset = 32;
   KernelRequest r = o.toRequest();
   ASSERT_EQ(r.arrays.size(), 2u);
   EXPECT_EQ(r.arrays[0].bytes, 4096u);   // per-vector override
@@ -531,23 +541,23 @@ TEST(Options, DerivedRequest) {
 
 TEST(Options, ExplicitTripCountWins) {
   LauncherOptions o;
-  o.tripCount = 777;
-  EXPECT_EQ(o.effectiveTripCount(), 777);
+  o.explore.tripCount = 777;
+  EXPECT_EQ(o.toRequest().n, 777);
 }
 
 TEST(Options, ElementBytesDrivesTripCountAndStride) {
   // The old code hard-coded 4-byte elements, a 2x trip-count error for
   // double-precision kernels.
   LauncherOptions o;
-  o.arrayBytes = 8192;
-  o.elementBytes = 8;
-  EXPECT_EQ(o.effectiveTripCount(), 1024);
+  o.explore.arrayBytes = 8192;
+  o.explore.elementBytes = 8;
+  EXPECT_EQ(o.toRequest().n, 1024);
   KernelRequest r = o.toRequest();
   EXPECT_EQ(r.n, 1024);
   EXPECT_EQ(r.chunkStrideBytes, 8u);
 
-  o.elementBytes = 4;
-  EXPECT_EQ(o.effectiveTripCount(), 2048);
+  o.explore.elementBytes = 4;
+  EXPECT_EQ(o.toRequest().n, 2048);
   EXPECT_EQ(o.toRequest().chunkStrideBytes, 4u);
 }
 
@@ -555,7 +565,7 @@ TEST(Options, ElementBytesParsedAndValidated) {
   {
     cli::Parser p = makeLauncherParser();
     ASSERT_TRUE(p.parse({"--input", "k.s", "--element-bytes", "8"}));
-    EXPECT_EQ(optionsFromParser(p).elementBytes, 8u);
+    EXPECT_EQ(optionsFromParser(p).explore.elementBytes, 8u);
   }
   {
     cli::Parser p = makeLauncherParser();
@@ -571,10 +581,10 @@ TEST(Options, CampaignFlagsParsed) {
                        "--variant-timeout-ms", "500"}));
   LauncherOptions o = optionsFromParser(p);
   EXPECT_EQ(o.campaignDir, "/tmp/variants");
-  EXPECT_EQ(o.jobs, 4);
-  EXPECT_DOUBLE_EQ(o.maxCv, 0.02);
-  EXPECT_EQ(o.maxRepetitions, 24);
-  EXPECT_EQ(o.variantTimeoutMs, 500);
+  EXPECT_EQ(o.explore.campaign.jobs, 4);
+  EXPECT_DOUBLE_EQ(o.explore.campaign.maxCv, 0.02);
+  EXPECT_EQ(o.explore.campaign.maxRepetitions, 24);
+  EXPECT_EQ(o.explore.campaign.variantTimeoutMs, 500);
 }
 
 TEST(Options, CampaignFlagsValidated) {
@@ -606,6 +616,65 @@ TEST(Options, InvalidCombinationsRejected) {
     ASSERT_TRUE(p.parse({"--pin-policy", "random"}));
     EXPECT_THROW(optionsFromParser(p), ParseError);
   }
+}
+
+TEST(Options, UnionOfBothCliChecksRejected) {
+  // One parser serves microlauncher and explore, so each rejects what
+  // either one did, plus negative geometry and zero repetitions.
+  for (std::vector<std::string> args :
+       {std::vector<std::string>{"--nbvectors", "-1"},
+        {"--stable-screen-reps", "0"},
+        {"--budget", "garbage"},
+        {"--alignment", "-1"},
+        {"--align-offset", "-64"},
+        {"--array-bytes", "-1"},
+        {"--inner", "0"},
+        {"--outer", "0"},
+        {"--verify", "lenient"},
+        {"--search", "binary"},
+        {"--align-step", "-64"}}) {
+    cli::Parser p = makeLauncherParser();
+    ASSERT_TRUE(p.parse(args));
+    EXPECT_THROW(optionsFromParser(p), ParseError) << args[0];
+  }
+}
+
+TEST(Options, SharedFlagsLandInExploreOptions) {
+  cli::Parser p = makeLauncherParser();
+  ASSERT_TRUE(p.parse({"--backend", "native", "--compile-jobs", "2",
+                       "--compile-batch", "4", "--compile-cache-dir", "so",
+                       "--no-perf-counters", "--no-overhead", "--search",
+                       "halving", "--budget", "16", "--screen-reps", "2",
+                       "--no-predict", "--verify", "warn", "--csv", "x.csv",
+                       "--connect", "unix:/s", "--worker-name", "w"}));
+  ExploreOptions o = optionsFromParser(p).explore;
+  EXPECT_EQ(o.backend, "native");
+  EXPECT_TRUE(o.campaign.pinWorkers);
+  EXPECT_EQ(o.campaign.compileJobs, 2);
+  EXPECT_EQ(o.campaign.compileBatch, 4);
+  EXPECT_EQ(o.compileCacheDir, "so");
+  EXPECT_FALSE(o.perfCounters);
+  EXPECT_FALSE(o.campaign.protocol.subtractOverhead);
+  EXPECT_EQ(o.search, SearchMode::Halving);
+  EXPECT_EQ(o.planner.budget.kind, Budget::Kind::Variants);
+  EXPECT_EQ(o.planner.screenRepetitions, 2);
+  EXPECT_FALSE(o.predict);
+  EXPECT_EQ(o.campaign.verify, VerifyMode::Warn);
+  EXPECT_EQ(o.csvPath, "x.csv");
+  EXPECT_EQ(o.connectAddr, "unix:/s");
+  EXPECT_EQ(o.workerName, "w");
+}
+
+TEST(Options, KernelRequestRejectsAnUnrepresentableTripCount) {
+  ExploreOptions o;
+  o.arrayBytes = 2;  // 0 four-byte elements
+  EXPECT_THROW(kernelRequest(o, 1), McError);
+  o.arrayBytes = 17179869184ull;  // 2^32 elements
+  EXPECT_THROW(kernelRequest(o, 1), McError);
+  o.tripCount = 5;  // an explicit trip count wins
+  KernelRequest r = kernelRequest(o, 2);
+  EXPECT_EQ(r.n, 5);
+  EXPECT_EQ(r.arrays.size(), 2u);
 }
 
 TEST(ArchRegistry, Table1Complete) {

@@ -381,6 +381,23 @@ TEST(Backend, AlignmentOffsetsHonored) {
   EXPECT_GT(r.iterations, 0u);
 }
 
+TEST(Backend, UnrepresentableArrayPlacementThrows) {
+  // An alignment past 2^63 has no power of two to round up to, and an
+  // offset near 2^64 wraps the allocation size: the invoke must fail
+  // rather than spin forever or place the array before its buffer.
+  NativeBackend backend;
+  auto programs = generate(testing::movssLoadXml(2, 2, 2));
+  auto kernel = backend.load(programs[0].asmText, "microkernel");
+  launcher::KernelRequest request;
+  request.arrays.push_back(
+      launcher::ArraySpec{1 << 14, (1ull << 63) + 1, 48});
+  request.arrays.push_back(launcher::ArraySpec{1 << 14, 4096, ~0ull - 63});
+  request.n = (1 << 14) / 4;
+  EXPECT_THROW(backend.invoke(*kernel, request), ExecutionError);
+  request.arrays[0].alignment = 4096;
+  EXPECT_THROW(backend.invoke(*kernel, request), ExecutionError);
+}
+
 TEST(Backend, ForkCollectsOneResultPerProcess) {
   NativeBackend backend;
   auto programs = generate(figure6Xml(2, 2, false));

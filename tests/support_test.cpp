@@ -93,6 +93,17 @@ TEST(Strings, Format) {
   EXPECT_EQ(strings::format("%.2f", 1.5), "1.50");
 }
 
+TEST(Strings, JsonEscapeNamesTheShortEscapesAndHexesOtherControls) {
+  EXPECT_EQ(strings::jsonEscape("plain"), "plain");
+  EXPECT_EQ(strings::jsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(strings::jsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(strings::jsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(strings::jsonEscape("a\rb"), "a\\rb");
+  EXPECT_EQ(strings::jsonEscape("a\tb"), "a\\tb");
+  EXPECT_EQ(strings::jsonEscape("a\x01" "b"), "a\\u0001b");
+  EXPECT_EQ(strings::jsonEscape("\x1f"), "\\u001f");
+}
+
 // ---------------------------------------------------------------------------
 // csv
 // ---------------------------------------------------------------------------

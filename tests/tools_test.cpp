@@ -487,6 +487,80 @@ TEST_F(ToolsTest, ServeDaemonShardsExploreWorkerOverUnixSocket) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(ToolsTest, ExploreAndLauncherCampaignShareOneOptionSurface) {
+  std::string small =
+      writeTempXml(testing::figure6Xml(1, 2, false), "tools_parity.xml");
+  std::string dir = ::testing::TempDir() + "/tools_parity_" +
+                    std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_EQ(run(std::string(MT_MICROCREATOR_PATH) + " " + small +
+                " --output " + dir + "/gen")
+                .exitCode,
+            0);
+  std::string explore = std::string(MT_MICROTOOLS_PATH) + " explore " +
+                        small + " --no-cache";
+  std::string campaign =
+      std::string(MT_MICROLAUNCHER_PATH) + " --campaign " + dir + "/gen";
+  std::string flags =
+      " --array-bytes 16384 --inner 1 --outer 3 --max-repetitions 6";
+  auto rows = [](const std::string& path) {
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+      if (!line.empty() && line[0] != '#') lines.push_back(line);
+    }
+    return lines;
+  };
+
+  // The same flags write the same campaign CSV rows from either tool.
+  for (std::string search : {"full", "halving"}) {
+    std::string a = dir + "/explore_" + search + ".csv";
+    std::string b = dir + "/campaign_" + search + ".csv";
+    CommandResult e =
+        run(explore + flags + " --search " + search + " --csv " + a);
+    CommandResult c =
+        run(campaign + flags + " --search " + search + " --csv " + b);
+    EXPECT_EQ(e.exitCode, 0) << e.output;
+    EXPECT_EQ(c.exitCode, 0) << c.output;
+    std::vector<std::string> expected = rows(a);
+    EXPECT_GT(expected.size(), 2u) << search;  // header + both variants
+    EXPECT_EQ(rows(b), expected) << search;
+  }
+
+  // ...and both reject the same values, with the same message.
+  for (const char* bad :
+       {"--nbvectors 9", "--nbvectors -1", "--variant-timeout-ms -5",
+        "--stable-screen-reps 0", "--budget garbage", "--alignment -1",
+        "--backend gpu", "--inner 0", "--outer 0"}) {
+    CommandResult e = run(explore + flags + " " + bad);
+    CommandResult c = run(campaign + flags + " " + bad);
+    EXPECT_EQ(e.exitCode, 1) << bad << "\n" << e.output;
+    EXPECT_EQ(c.exitCode, e.exitCode) << bad;
+    EXPECT_EQ(c.output, e.output) << bad;
+    EXPECT_EQ(e.output.rfind("error: --", 0), 0u) << bad << "\n" << e.output;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ToolsTest, LintRejectsTheArraySizesExploreRejects) {
+  std::string small =
+      writeTempXml(testing::figure6Xml(1, 2, false), "tools_lint_geo.xml");
+  // 2 bytes hold no 4-byte element; 16 GiB hold more than an int counts.
+  for (const char* bytes : {"2", "17179869184"}) {
+    for (std::string command :
+         {std::string(MT_MICROTOOLS_PATH) + " lint " + small,
+          std::string(MT_MICROTOOLS_PATH) + " explore " + small +
+              " --no-cache"}) {
+      CommandResult r = run(command + " --array-bytes " + bytes);
+      EXPECT_NE(r.exitCode, 0) << command << " " << bytes;
+      EXPECT_NE(r.output.find("array size yields an invalid trip count"),
+                std::string::npos)
+          << command << " " << bytes << "\n" << r.output;
+    }
+  }
+}
+
 TEST_F(ToolsTest, MicrotoolsUsageAndUnknownSubcommand) {
   CommandResult bare = run(std::string(MT_MICROTOOLS_PATH));
   EXPECT_EQ(bare.exitCode, 2);
