@@ -1,5 +1,7 @@
 #include "asmparse/asmparse.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -35,20 +37,6 @@ DecodedOperand DecodedOperand::makeLabel(std::string l) {
   op.kind = Kind::Label;
   op.label = std::move(l);
   return op;
-}
-
-bool DecodedInsn::readsMemory() const {
-  if (operands.size() < 2) return false;
-  for (std::size_t i = 0; i + 1 < operands.size(); ++i) {
-    if (operands[i].kind == DecodedOperand::Kind::Mem) return true;
-  }
-  return false;
-}
-
-bool DecodedInsn::writesMemory() const {
-  if (desc->kind == isa::InstrKind::Compare) return false;
-  return !operands.empty() &&
-         operands.back().kind == DecodedOperand::Kind::Mem;
 }
 
 int DecodedInsn::accessBytes() const {
@@ -205,6 +193,115 @@ DecodedOperand parseOperand(std::string_view text, bool branchContext,
   return DecodedOperand::makeMem(parseMemOperand(text, line, column));
 }
 
+isa::ExecUnit computeUnit(isa::InstrKind kind) {
+  switch (kind) {
+    case isa::InstrKind::FpAdd: return isa::ExecUnit::FpAdd;
+    case isa::InstrKind::FpMul: return isa::ExecUnit::FpMul;
+    case isa::InstrKind::FpDiv: return isa::ExecUnit::FpDiv;
+    case isa::InstrKind::CondBranch:
+    case isa::InstrKind::Jump: return isa::ExecUnit::Branch;
+    default: return isa::ExecUnit::Alu;
+  }
+}
+
+/// The one place that decodes what an instruction loads, stores, reads and
+/// writes (see UopRecipe).
+UopRecipe buildRecipe(const DecodedInsn& insn) {
+  using Kind = DecodedOperand::Kind;
+  const isa::InstrDesc& d = *insn.desc;
+  const std::vector<DecodedOperand>& ops = insn.operands;
+  UopRecipe r;
+  r.op = d.op;
+  if (d.kind == isa::InstrKind::Ret || d.kind == isa::InstrKind::Nop) {
+    return r;
+  }
+
+  // Register operands: the last one is the destination, read as well only
+  // by read-modify-write instructions; cmp and test read it and write none.
+  isa::RegSet addressRegs;
+  isa::RegSet operandRegs;
+  int dst = -1;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const DecodedOperand& op = ops[i];
+    if (op.kind == Kind::Mem) {
+      if (r.memOperand >= 0) {
+        throw ParseError("instruction '" + insn.mnemonic +
+                             "' has more than one memory operand",
+                         insn.line, insn.column);
+      }
+      r.memOperand = static_cast<std::int8_t>(i);
+      if (op.mem.base) addressRegs.add(*op.mem.base);
+      if (op.mem.index) addressRegs.add(*op.mem.index);
+    } else if (op.kind == Kind::Reg) {
+      if (op.reg.cls == isa::RegClass::Rip) {
+        throw ParseError("%rip is only valid as a memory base", insn.line,
+                         insn.column);
+      }
+      if (i + 1 == ops.size() && d.writesDest) {
+        dst = isa::RegSet::slot(op.reg);
+        if (d.readsDest) operandRegs.add(op.reg);
+      } else {
+        operandRegs.add(op.reg);
+      }
+    }
+  }
+  r.zeroing = d.op == isa::Opcode::Xor && ops.size() == 2 &&
+              ops[0].kind == Kind::Reg && ops[1].kind == Kind::Reg &&
+              ops[0].reg.sameArchReg(ops[1].reg);
+  if (r.zeroing) operandRegs = {};
+
+  MicroOp compute;
+  compute.unit = computeUnit(d.kind);
+  compute.latency = static_cast<std::uint8_t>(std::max(d.latency, 1));
+  compute.occupancy =
+      d.kind == isa::InstrKind::FpDiv ? compute.latency : std::uint8_t{1};
+  compute.dst = static_cast<std::int8_t>(dst);
+  compute.writesFlags = d.writesFlags;
+  compute.srcs = operandRegs;
+  if (d.readsFlags) compute.srcs.add(isa::RegSet::kFlags);
+
+  MicroOp memory;
+  memory.srcs = addressRegs;
+  bool accesses = r.memOperand >= 0 && d.kind != isa::InstrKind::Lea;
+  if (!accesses) {
+    // lea (or no memory operand): its address registers feed the ALU.
+    compute.srcs = compute.srcs | addressRegs;
+    r.uops[0] = compute;
+    r.count = 1;
+  } else if (r.memOperand + 1 == static_cast<int>(ops.size()) &&
+             d.writesDest) {
+    // Memory destination: one store micro-op carries address and data.
+    memory.unit = isa::ExecUnit::Store;
+    memory.srcs = memory.srcs | compute.srcs;
+    memory.writesFlags = d.writesFlags;
+    r.mem = UopRecipe::Mem::Store;
+    r.uops[0] = memory;
+    r.count = 1;
+  } else {
+    memory.unit = isa::ExecUnit::Load;
+    memory.latency = 0;
+    if (d.kind == isa::InstrKind::Move) {
+      // Plain move load: the load itself writes the destination.
+      memory.srcs = memory.srcs | compute.srcs;
+      memory.dst = compute.dst;
+      r.mem = UopRecipe::Mem::Load;
+      r.uops[0] = memory;
+      r.count = 1;
+    } else {
+      r.mem = UopRecipe::Mem::Fused;
+      r.uops = {memory, compute};
+      r.count = 2;
+    }
+  }
+  for (int k = 0; k < r.count; ++k) {
+    const MicroOp& u = r.uops[static_cast<std::size_t>(k)];
+    r.reads = r.reads | u.srcs;
+    r.writes.add(u.dst);
+    if (u.writesFlags) r.writes.add(isa::RegSet::kFlags);
+  }
+  return r;
+}
+
 }  // namespace
 
 Program parseAssembly(std::string_view text) {
@@ -279,6 +376,7 @@ Program parseAssembly(std::string_view text) {
                                              operandsColumn + piece.offset));
       }
     }
+    insn.recipe = buildRecipe(insn);
     program.instructions.push_back(std::move(insn));
   }
   if (program.instructions.empty()) {

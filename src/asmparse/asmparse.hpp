@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -40,6 +41,53 @@ struct DecodedOperand {
   static DecodedOperand makeLabel(std::string l);
 };
 
+/// One micro-op of an instruction recipe.
+struct MicroOp {
+  isa::ExecUnit unit = isa::ExecUnit::Alu;
+  /// Cycles until dependents may issue. 0 for a load: where the data lives
+  /// decides, so the simulator asks its memory system and the static cost
+  /// model assumes an L1 hit.
+  std::uint8_t latency = 1;
+  /// Cycles the micro-op holds its port: 1, or the full latency for the
+  /// unpipelined divider.
+  std::uint8_t occupancy = 1;
+  std::int8_t dst = -1;      ///< register slot written (RegSet numbering)
+  bool writesFlags = false;
+  isa::RegSet srcs;          ///< register slots read, flags included
+};
+
+/// What one static instruction does to the machine: the micro-ops it
+/// dispatches and the registers, flags and memory it reads and writes.
+/// Built once per instruction by parseAssembly and read by every consumer
+/// -- the simulator's dispatch and functional executor, the static cost
+/// model, and the verifier's dataflow, bounds and loop analyses -- so none
+/// of them decodes operands itself.
+///
+/// The split follows the simulator's port model: a memory source makes a
+/// load micro-op, fused with the compute micro-op unless the instruction is
+/// a plain move; a memory destination makes a single store micro-op; lea
+/// computes its address on the ALU and touches no memory. Register reads
+/// and writes follow the ISA table's def/use bits, with `xor`, `pxor`,
+/// `xorps` and `xorpd` of a register with itself reading nothing.
+struct UopRecipe {
+  enum class Mem : std::uint8_t { None, Load, Store, Fused };
+
+  Mem mem = Mem::None;
+  /// Operand index of the memory operand (lea's address included), -1 when
+  /// there is none.
+  std::int8_t memOperand = -1;
+  /// Micro-ops dispatched: 0 for ret and nop (nop still takes a dispatch
+  /// slot), 2 for a fused load (uops[1] consumes uops[0]), else 1.
+  std::uint8_t count = 0;
+  bool zeroing = false;  ///< writes zero without reading its destination
+  isa::Opcode op = isa::Opcode::None;
+  std::array<MicroOp, 2> uops{};
+  isa::RegSet reads;   ///< every micro-op's sources
+  isa::RegSet writes;  ///< every micro-op's destination and flags
+
+  bool loads() const { return mem == Mem::Load || mem == Mem::Fused; }
+};
+
 /// One decoded instruction with its static description.
 struct DecodedInsn {
   const isa::InstrDesc* desc = nullptr;  // never null after parsing
@@ -47,11 +95,7 @@ struct DecodedInsn {
   std::vector<DecodedOperand> operands;  // AT&T order
   std::size_t line = 0;                  // 1-based source line
   std::size_t column = 0;                // 1-based column of the mnemonic
-
-  /// Memory access classification (AT&T order: last operand is the
-  /// destination).
-  bool readsMemory() const;
-  bool writesMemory() const;
+  UopRecipe recipe;
 
   /// Bytes touched per memory access: the descriptor's memBytes, falling
   /// back to the register operand width for suffixable GPR instructions.
@@ -74,7 +118,8 @@ struct Program {
 /// emits (and hand-written kernels in the same style). Directives are
 /// skipped; the function name is taken from the .globl directive or the
 /// first non-local label. Throws ParseError carrying the 1-based line and
-/// column of the offending token on anything unrecognizable.
+/// column of the offending token on anything unrecognizable, including an
+/// instruction with two memory operands or a bare %rip operand.
 Program parseAssembly(std::string_view text);
 
 }  // namespace microtools::asmparse

@@ -39,13 +39,24 @@ std::vector<InstrDesc> buildTable() {
   // -- integer ALU ----------------------------------------------------------
   // Binary and unary forms share the read-modify-write destination; `not`
   // is the only ALU op in the subset that leaves the flags untouched.
-  for (const char* m : {"add", "sub", "and", "or", "xor", "neg", "inc",
-                        "dec", "shl", "shr", "sar"}) {
+  auto alu = [&add](const char* m, Opcode op) {
     add({.mnemonic = m, .kind = InstrKind::IntAlu, .latency = 1,
-         .suffixable = true, .readsDest = true, .writesFlags = true});
-  }
+         .suffixable = true, .readsDest = true, .writesFlags = true,
+         .op = op});
+  };
+  alu("add", Opcode::Add);
+  alu("sub", Opcode::Sub);
+  alu("and", Opcode::And);
+  alu("or", Opcode::Or);
+  alu("xor", Opcode::Xor);
+  alu("neg", Opcode::Neg);
+  alu("inc", Opcode::Inc);
+  alu("dec", Opcode::Dec);
+  alu("shl", Opcode::Shl);
+  alu("shr", Opcode::Shr);
+  alu("sar", Opcode::Sar);
   add({.mnemonic = "not", .kind = InstrKind::IntAlu, .latency = 1,
-       .suffixable = true, .readsDest = true});
+       .suffixable = true, .readsDest = true, .op = Opcode::Not});
   add({.mnemonic = "imul", .kind = InstrKind::IntMul, .latency = 3,
        .suffixable = true, .readsDest = true, .writesFlags = true});
   add({.mnemonic = "lea", .kind = InstrKind::Lea, .latency = 1,
@@ -55,56 +66,51 @@ std::vector<InstrDesc> buildTable() {
   add({.mnemonic = "cmp", .kind = InstrKind::Compare, .latency = 1,
        .suffixable = true, .writesDest = false, .writesFlags = true});
   add({.mnemonic = "test", .kind = InstrKind::Compare, .latency = 1,
-       .suffixable = true, .writesDest = false, .writesFlags = true});
+       .suffixable = true, .writesDest = false, .writesFlags = true,
+       .op = Opcode::Test});
 
   // -- SSE floating point ---------------------------------------------------
   add({.mnemonic = "addss", .kind = InstrKind::FpAdd, .memBytes = 4,
-       .isFp = true, .latency = 3, .readsDest = true,
-       .unit = ExecUnit::FpAdd});
+       .isFp = true, .latency = 3, .readsDest = true});
   add({.mnemonic = "addsd", .kind = InstrKind::FpAdd, .memBytes = 8,
-       .isFp = true, .latency = 3, .readsDest = true,
-       .unit = ExecUnit::FpAdd});
+       .isFp = true, .latency = 3, .readsDest = true});
   add({.mnemonic = "addps", .kind = InstrKind::FpAdd, .memBytes = 16,
        .requiresAlignment = true, .isVector = true, .isFp = true,
-       .latency = 3, .readsDest = true, .unit = ExecUnit::FpAdd});
+       .latency = 3, .readsDest = true});
   add({.mnemonic = "addpd", .kind = InstrKind::FpAdd, .memBytes = 16,
        .requiresAlignment = true, .isVector = true, .isFp = true,
-       .latency = 3, .readsDest = true, .unit = ExecUnit::FpAdd});
+       .latency = 3, .readsDest = true});
   add({.mnemonic = "mulss", .kind = InstrKind::FpMul, .memBytes = 4,
-       .isFp = true, .latency = 4, .readsDest = true,
-       .unit = ExecUnit::FpMul});
+       .isFp = true, .latency = 4, .readsDest = true});
   add({.mnemonic = "mulsd", .kind = InstrKind::FpMul, .memBytes = 8,
-       .isFp = true, .latency = 5, .readsDest = true,
-       .unit = ExecUnit::FpMul});
+       .isFp = true, .latency = 5, .readsDest = true});
   add({.mnemonic = "mulps", .kind = InstrKind::FpMul, .memBytes = 16,
        .requiresAlignment = true, .isVector = true, .isFp = true,
-       .latency = 4, .readsDest = true, .unit = ExecUnit::FpMul});
+       .latency = 4, .readsDest = true});
   add({.mnemonic = "mulpd", .kind = InstrKind::FpMul, .memBytes = 16,
        .requiresAlignment = true, .isVector = true, .isFp = true,
-       .latency = 5, .readsDest = true, .unit = ExecUnit::FpMul});
-  // The divider is unpipelined: each micro-op occupies the shared FpMul
-  // port for the full latency (the simulator keeps the port busy for
-  // `latency` cycles).
+       .latency = 5, .readsDest = true});
+  // The divider is unpipelined: its micro-op holds a divider port for the
+  // full latency.
   add({.mnemonic = "divss", .kind = InstrKind::FpDiv, .memBytes = 4,
-       .isFp = true, .latency = 14, .readsDest = true,
-       .unit = ExecUnit::FpDiv, .recipThroughput = 14.0});
+       .isFp = true, .latency = 14, .readsDest = true});
   add({.mnemonic = "divsd", .kind = InstrKind::FpDiv, .memBytes = 8,
-       .isFp = true, .latency = 22, .readsDest = true,
-       .unit = ExecUnit::FpDiv, .recipThroughput = 22.0});
+       .isFp = true, .latency = 22, .readsDest = true});
   add({.mnemonic = "xorps", .kind = InstrKind::FpLogic, .memBytes = 16,
-       .isVector = true, .isFp = true, .latency = 1, .readsDest = true});
+       .isVector = true, .isFp = true, .latency = 1, .readsDest = true,
+       .op = Opcode::Xor});
   add({.mnemonic = "xorpd", .kind = InstrKind::FpLogic, .memBytes = 16,
-       .isVector = true, .isFp = true, .latency = 1, .readsDest = true});
+       .isVector = true, .isFp = true, .latency = 1, .readsDest = true,
+       .op = Opcode::Xor});
   add({.mnemonic = "pxor", .kind = InstrKind::FpLogic, .memBytes = 16,
-       .isVector = true, .isFp = true, .latency = 1, .readsDest = true});
+       .isVector = true, .isFp = true, .latency = 1, .readsDest = true,
+       .op = Opcode::Xor});
 
   // -- control flow ---------------------------------------------------------
-  add({.mnemonic = "jmp", .kind = InstrKind::Jump, .writesDest = false,
-       .unit = ExecUnit::Branch});
+  add({.mnemonic = "jmp", .kind = InstrKind::Jump, .writesDest = false});
   auto branch = [&add](const char* m, Condition c) {
     add({.mnemonic = m, .kind = InstrKind::CondBranch, .condition = c,
-         .writesDest = false, .readsFlags = true,
-         .unit = ExecUnit::Branch});
+         .writesDest = false, .readsFlags = true});
   };
   branch("je", Condition::E);
   branch("jz", Condition::E);
@@ -123,10 +129,8 @@ std::vector<InstrDesc> buildTable() {
 
   // ret ends dispatch without a micro-op; nop consumes a dispatch slot
   // but never reaches an execution port.
-  add({.mnemonic = "ret", .kind = InstrKind::Ret, .writesDest = false,
-       .unit = ExecUnit::None, .uops = 0});
-  add({.mnemonic = "nop", .kind = InstrKind::Nop, .writesDest = false,
-       .unit = ExecUnit::None, .uops = 0});
+  add({.mnemonic = "ret", .kind = InstrKind::Ret, .writesDest = false});
+  add({.mnemonic = "nop", .kind = InstrKind::Nop, .writesDest = false});
   return t;
 }
 
@@ -134,7 +138,8 @@ std::vector<InstrDesc> buildTable() {
 
 std::string_view execUnitName(ExecUnit unit) {
   switch (unit) {
-    case ExecUnit::None: return "none";
+    case ExecUnit::Load: return "load";
+    case ExecUnit::Store: return "store";
     case ExecUnit::Alu: return "alu";
     case ExecUnit::FpAdd: return "fp-add";
     case ExecUnit::FpMul: return "fp-mul";

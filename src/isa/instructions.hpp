@@ -8,9 +8,9 @@
 
 namespace microtools::isa {
 
-/// Functional/timing category of an instruction. The simulator maps each
-/// kind to an execution unit; the creator uses kinds to reason about
-/// loads/stores when swapping operands.
+/// Functional/timing category of an instruction. The instruction recipe
+/// (asmparse::UopRecipe) maps each kind to an execution unit; the creator
+/// uses kinds to reason about loads/stores when swapping operands.
 enum class InstrKind : std::uint8_t {
   Move,     ///< data movement (GPR or XMM; load/store depends on operands)
   IntAlu,   ///< add/sub/logic/shift on GPRs, 1-cycle class
@@ -27,17 +27,30 @@ enum class InstrKind : std::uint8_t {
   Nop,
 };
 
-/// Execution-port class of an instruction's compute micro-op, mirroring
-/// the simulator's port model: loads and stores are split into separate
-/// micro-ops by operand shape (not by mnemonic), and the FP divider shares
-/// the FP multiply port.
+/// Execution-port class of a micro-op. Loads and stores get their own
+/// ports; the unpipelined FP divider has its own pool of `fpMulPorts`
+/// ports, each held for the divide's full latency.
 enum class ExecUnit : std::uint8_t {
-  None,    ///< no compute micro-op (ret, nop)
+  Load,
+  Store,
   Alu,     ///< integer ALU / move / lea / compare / vector logic
   FpAdd,
   FpMul,
-  FpDiv,   ///< issues on the FpMul port, occupies it for `latency` cycles
+  FpDiv,
   Branch,
+};
+
+inline constexpr int kExecUnitCount = 7;
+
+/// What an integer ALU entry computes, which compare is `test`, and which
+/// vector-logic entries are xors, for the consumers that evaluate values
+/// (the simulator's functional executor, the verifier's symbolic evaluator
+/// and loop analysis) and for the zeroing idiom. None for every other
+/// entry, whose kind says all there is.
+enum class Opcode : std::uint8_t {
+  None,
+  Add, Sub, And, Or, Xor, Neg, Inc, Dec, Not, Shl, Shr, Sar,
+  Test,
 };
 
 std::string_view execUnitName(ExecUnit unit);
@@ -75,20 +88,7 @@ struct InstrDesc {
   bool writesFlags = false;    // updates the status flags (SF/ZF/OF/CF)
   bool readsFlags = false;     // consumes the status flags (jcc family)
 
-  // -- port-level cost metadata (static performance analysis) ---------------
-  // Describes the compute micro-op that remains after the operand-driven
-  // load/store split (memory micro-ops are derived from the operands, not
-  // stored here). `unit` is the execution-port class, `uops` the number of
-  // compute micro-ops (0 for dispatch-slot-only instructions like nop),
-  // and `recipThroughput` the cycles each micro-op occupies its port (1.0
-  // for fully pipelined units; the unpipelined divider blocks the shared
-  // FP multiply port for its full latency). `unmodeled` flags entries whose
-  // cost metadata is not trustworthy: the cost model declines to predict
-  // and warns once instead of guessing.
-  ExecUnit unit = ExecUnit::Alu;
-  int uops = 1;                // compute micro-ops dispatched
-  double recipThroughput = 1.0;  // port occupancy per micro-op, in cycles
-  bool unmodeled = false;      // metadata incomplete: skip cost predictions
+  Opcode op = Opcode::None;
 };
 
 /// Looks up a mnemonic, accepting AT&T size suffixes for the suffixable

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -31,6 +32,56 @@ struct PhysReg {
   bool sameArchReg(const PhysReg& other) const {
     return cls == other.cls && index == other.index;
   }
+};
+
+/// Dense set over the architectural registers the subset can name:
+/// 16 GPRs (slots 0..15), 16 XMM registers (slots 16..31) and the status
+/// flags (slot 32). Width is ignored -- %eax and %rax share a slot, which
+/// matches sameArchReg() and over-approximates partial-register liveness.
+/// The simulator's register file and the verifier's dataflow use the same
+/// numbering.
+struct RegSet {
+  std::uint64_t bits = 0;
+
+  static constexpr int kFlags = 32;
+  static constexpr int kSlots = 33;
+
+  /// Slot for a register; -1 for %rip (not tracked).
+  static int slot(const PhysReg& reg) {
+    switch (reg.cls) {
+      case RegClass::Gpr: return reg.index;
+      case RegClass::Xmm: return 16 + reg.index;
+      default: return -1;
+    }
+  }
+
+  void add(int s) {
+    if (s >= 0) bits |= std::uint64_t{1} << s;
+  }
+  void add(const PhysReg& reg) { add(slot(reg)); }
+  void remove(int s) {
+    if (s >= 0) bits &= ~(std::uint64_t{1} << s);
+  }
+  bool has(int s) const {
+    return s >= 0 && (bits >> s) & 1;
+  }
+  bool has(const PhysReg& reg) const { return has(slot(reg)); }
+  bool empty() const { return bits == 0; }
+
+  /// Calls fn(slot) for every member, in ascending slot order.
+  template <typename Fn>
+  void forEach(Fn&& fn) const {
+    for (std::uint64_t b = bits; b != 0; b &= b - 1) {
+      fn(std::countr_zero(b));
+    }
+  }
+
+  RegSet operator|(RegSet o) const { return {bits | o.bits}; }
+  RegSet operator&(RegSet o) const { return {bits & o.bits}; }
+  RegSet operator-(RegSet o) const { return {bits & ~o.bits}; }
+  bool operator==(const RegSet&) const = default;
+
+  static RegSet all() { return {(std::uint64_t{1} << kSlots) - 1}; }
 };
 
 /// Parses an AT&T register token such as "%rax", "%r10d" or "%xmm3".

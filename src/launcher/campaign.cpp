@@ -26,10 +26,17 @@ SourceUnit unitOf(const CampaignVariant& v) {
   return SourceUnit{v.kind, v.source, v.functionName};
 }
 
-/// Maps the campaign's launch geometry onto the verifier's context so the
-/// MT-MEM bounds/alignment rules check exactly what the backends will
-/// allocate (including the kArraySlackBytes page of slack).
-verify::VerifyOptions verifyOptionsFor(const KernelRequest& request) {
+}  // namespace
+
+VerifyMode verifyModeFromName(const std::string& name) {
+  if (name == "off") return VerifyMode::Off;
+  if (name == "warn") return VerifyMode::Warn;
+  if (name == "strict") return VerifyMode::Strict;
+  throw ParseError("--verify must be off, warn, or strict (got '" + name +
+                   "')");
+}
+
+verify::VerifyOptions preflightOptions(const KernelRequest& request) {
   verify::VerifyOptions options;
   verify::LaunchContext context;
   context.tripCount = request.n;
@@ -45,16 +52,6 @@ verify::VerifyOptions verifyOptionsFor(const KernelRequest& request) {
   options.arrayCount = static_cast<int>(request.arrays.size());
   options.context = std::move(context);
   return options;
-}
-
-}  // namespace
-
-VerifyMode verifyModeFromName(const std::string& name) {
-  if (name == "off") return VerifyMode::Off;
-  if (name == "warn") return VerifyMode::Warn;
-  if (name == "strict") return VerifyMode::Strict;
-  throw ParseError("--verify must be off, warn, or strict (got '" + name +
-                   "')");
 }
 
 // ---------------------------------------------------------------------------
@@ -293,7 +290,7 @@ std::vector<VariantResult> CampaignRunner::runStream(
     const VariantSource& source, const KernelRequest& request,
     CampaignCsvSink* sink) {
   if (!source) throw McError("streaming campaign requires a variant source");
-  const verify::VerifyOptions verifyOptions = verifyOptionsFor(request);
+  const verify::VerifyOptions verifyOptions = preflightOptions(request);
 
   // One heap slot per pulled variant. A task keeps its slot's address while
   // the calling thread goes on appending, so growing `slots` never moves

@@ -99,6 +99,12 @@ enum class VerifyMode { Off, Warn, Strict };
 /// anything else.
 VerifyMode verifyModeFromName(const std::string& name);
 
+/// The pre-flight verifier's view of a kernel request: its trip count and
+/// arrays, plus the kArraySlackBytes every backend allocates past each
+/// array, so the MT-MEM bounds and alignment rules check exactly what will
+/// run. Campaigns, microlauncher's single-kernel runs and lint share it.
+verify::VerifyOptions preflightOptions(const KernelRequest& request);
+
 /// Campaign execution knobs.
 struct CampaignOptions {
   int jobs = 1;                ///< worker threads, each owning one Backend

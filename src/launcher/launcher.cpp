@@ -65,6 +65,20 @@ std::vector<std::vector<std::uint64_t>> alignmentConfigurations(
   return configs;
 }
 
+std::vector<KernelRequest> alignmentRequests(const KernelRequest& request,
+                                             const AlignmentSweepSpec& spec) {
+  std::vector<KernelRequest> requests;
+  for (const std::vector<std::uint64_t>& offsets :
+       alignmentConfigurations(request.arrays.size(), spec)) {
+    KernelRequest configured = request;
+    for (std::size_t a = 0; a < configured.arrays.size(); ++a) {
+      configured.arrays[a].offset = offsets[a];
+    }
+    requests.push_back(std::move(configured));
+  }
+  return requests;
+}
+
 MicroLauncher::MicroLauncher(std::unique_ptr<Backend> backend)
     : backend_(std::move(backend)) {
   if (!backend_) throw McError("MicroLauncher requires a backend");
@@ -90,16 +104,13 @@ std::vector<AlignmentSample> MicroLauncher::alignmentSweep(
     KernelHandle& kernel, const KernelRequest& request,
     const AlignmentSweepSpec& spec, const ProtocolOptions& options) {
   std::vector<AlignmentSample> samples;
-  for (std::vector<std::uint64_t>& offsets :
-       alignmentConfigurations(request.arrays.size(), spec)) {
-    KernelRequest configured = request;
-    for (std::size_t a = 0; a < configured.arrays.size(); ++a) {
-      configured.arrays[a].offset = offsets[a];
-    }
+  for (const KernelRequest& configured : alignmentRequests(request, spec)) {
     backend_->reset();  // each configuration starts from cold caches
     AlignmentSample sample;
     sample.measurement = measureKernel(*backend_, kernel, configured, options);
-    sample.offsets = std::move(offsets);
+    for (const ArraySpec& array : configured.arrays) {
+      sample.offsets.push_back(array.offset);
+    }
     samples.push_back(std::move(sample));
   }
   return samples;

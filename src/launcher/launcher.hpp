@@ -32,6 +32,11 @@ struct AlignmentSample {
 std::vector<std::vector<std::uint64_t>> alignmentConfigurations(
     std::size_t arrayCount, const AlignmentSweepSpec& spec);
 
+/// The request each sweep configuration runs: `request` with the
+/// configuration's offsets applied to its arrays.
+std::vector<KernelRequest> alignmentRequests(const KernelRequest& request,
+                                             const AlignmentSweepSpec& spec);
+
 /// MicroLauncher facade: "executes a benchmark program in a contained and
 /// controlled environment" (§4). Owns a backend and exposes the study types
 /// the paper's evaluation uses: single measurements, alignment sweeps,
@@ -51,8 +56,7 @@ class MicroLauncher {
   Measurement measure(KernelHandle& kernel, const KernelRequest& request,
                       const ProtocolOptions& options = {});
 
-  /// Alignment sweep: measures every configuration from
-  /// alignmentConfigurations() applied to the request's arrays.
+  /// Alignment sweep: measures every configuration of alignmentRequests().
   std::vector<AlignmentSample> alignmentSweep(
       KernelHandle& kernel, const KernelRequest& request,
       const AlignmentSweepSpec& spec, const ProtocolOptions& options = {});

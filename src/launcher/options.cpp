@@ -36,7 +36,7 @@ std::uint64_t bytesFlag(const cli::Parser& parser, const std::string& name) {
 // The shared option surface
 // ---------------------------------------------------------------------------
 
-void addGeometryFlags(cli::Parser& parser, int defaultNbVectors) {
+void addArrayShapeFlags(cli::Parser& parser, int defaultNbVectors) {
   parser.addInt("nbvectors",
                 defaultNbVectors > 0
                     ? "Arrays passed to the kernel (0 to 5)"
@@ -44,6 +44,10 @@ void addGeometryFlags(cli::Parser& parser, int defaultNbVectors) {
                       "the generated programs use; 5 for bare .s files)",
                 defaultNbVectors);
   parser.addInt("array-bytes", "Size of each array in bytes", 1 << 20);
+}
+
+void addGeometryFlags(cli::Parser& parser, int defaultNbVectors) {
+  addArrayShapeFlags(parser, defaultNbVectors);
   parser.addInt("alignment", "Array base alignment in bytes", 4096);
   parser.addInt("align-offset", "Extra offset added to each array base", 0);
   parser.addInt("element-bytes",
@@ -134,13 +138,17 @@ void addExploreFlags(cli::Parser& parser, int defaultNbVectors,
   parser.addFlag("verbose", "Enable info logging");
 }
 
-void geometryFromParser(const cli::Parser& parser, ExploreOptions& options) {
+void arrayShapeFromParser(const cli::Parser& parser, ExploreOptions& options) {
   std::int64_t nbVectors = parser.getInt("nbvectors");
   if (nbVectors < 0 || nbVectors > 5) {
     throw ParseError("--nbvectors must be between 0 and 5");
   }
   options.nbVectors = static_cast<int>(nbVectors);
   options.arrayBytes = bytesFlag(parser, "array-bytes");
+}
+
+void geometryFromParser(const cli::Parser& parser, ExploreOptions& options) {
+  arrayShapeFromParser(parser, options);
   options.alignment = bytesFlag(parser, "alignment");
   options.alignOffset = bytesFlag(parser, "align-offset");
   std::int64_t elementBytes = parser.getInt("element-bytes");

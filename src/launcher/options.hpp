@@ -13,10 +13,14 @@ namespace microtools::launcher {
 // The option surface microlauncher and microtools explore share
 // ---------------------------------------------------------------------------
 
-/// Registers the array-geometry flags: --nbvectors, --array-bytes,
-/// --alignment, --align-offset, --element-bytes and --n. The --nbvectors
-/// default is the one that differs per tool: microlauncher passes 1, while
-/// explore and lint pass 0 (as many arrays as the generated programs use).
+/// Registers the array-shape flags: --nbvectors and --array-bytes. The
+/// --nbvectors default is the one that differs per tool: microlauncher
+/// passes 1, while explore, lint and analyze pass 0 (as many arrays as the
+/// generated programs use).
+void addArrayShapeFlags(cli::Parser& parser, int defaultNbVectors);
+
+/// Registers the array-geometry flags: the array shape plus --alignment,
+/// --align-offset, --element-bytes and --n.
 void addGeometryFlags(cli::Parser& parser, int defaultNbVectors);
 
 /// Registers every flag microlauncher and microtools explore share: the
@@ -27,9 +31,12 @@ void addGeometryFlags(cli::Parser& parser, int defaultNbVectors);
 void addExploreFlags(cli::Parser& parser, int defaultNbVectors,
                      const std::string& inputHelp);
 
-/// Reads the geometry flags into `options`; throws ParseError on a
-/// negative size, alignment or offset, an --nbvectors outside 0..5, or
-/// --element-bytes 0.
+/// Reads the array-shape flags into `options`; throws ParseError on an
+/// --nbvectors outside 0..5 or a negative --array-bytes.
+void arrayShapeFromParser(const cli::Parser& parser, ExploreOptions& options);
+
+/// Reads the geometry flags into `options`; throws ParseError on an invalid
+/// array shape, a negative alignment or offset, or --element-bytes 0.
 void geometryFromParser(const cli::Parser& parser, ExploreOptions& options);
 
 /// Reads, validates and applies every flag addExploreFlags registered,

@@ -10,9 +10,9 @@
 
 namespace microtools::launcher {
 
-StaticAnnotator::StaticAnnotator(const verify::CoreModel& model,
+StaticAnnotator::StaticAnnotator(sim::MachineConfig machine,
                                  std::uint64_t footprintBytes)
-    : model_(model), footprint_(footprintBytes) {}
+    : machine_(std::move(machine)), footprint_(footprintBytes) {}
 
 void StaticAnnotator::annotate(const CampaignVariant& variant,
                                VariantResult& out) {
@@ -39,7 +39,7 @@ const StaticAnnotator::Entry& StaticAnnotator::entry(
   if (variant.kind == "asm") {
     try {
       asmparse::Program program = asmparse::parseAssembly(variant.source);
-      verify::CyclePrediction pred = verify::predictProgram(program, model_);
+      verify::CyclePrediction pred = verify::predictProgram(program, machine_);
       if (pred.valid) {
         e.predCpiLo = pred.cyclesLowerBound();
         e.bound = pred.binding;
@@ -47,7 +47,8 @@ const StaticAnnotator::Entry& StaticAnnotator::entry(
       verify::StabilityOptions stability;
       stability.footprintBytes = footprint_;
       e.stable =
-          verify::analyzeStability(program, model_, pred, stability).stable();
+          verify::analyzeStability(program, machine_, pred, stability)
+              .stable();
     } catch (const ParseError&) {
       // Unparseable variants fail later with a real diagnostic; the
       // annotation just stays empty.
@@ -58,11 +59,9 @@ const StaticAnnotator::Entry& StaticAnnotator::entry(
 
 std::shared_ptr<StaticAnnotator> makeStaticAnnotator(
     const std::string& arch, const KernelRequest& request) {
-  verify::CoreModel model =
-      verify::coreModelFromMachine(archByName(arch).config);
   std::uint64_t footprint = 0;
   for (const ArraySpec& a : request.arrays) footprint += a.bytes;
-  return std::make_shared<StaticAnnotator>(model, footprint);
+  return std::make_shared<StaticAnnotator>(archByName(arch).config, footprint);
 }
 
 void installPredict(CampaignOptions& campaign,

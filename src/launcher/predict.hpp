@@ -7,7 +7,7 @@
 #include <string>
 
 #include "launcher/campaign.hpp"
-#include "verify/costmodel.hpp"
+#include "sim/arch.hpp"
 
 namespace microtools::launcher {
 
@@ -19,7 +19,7 @@ namespace microtools::launcher {
 /// the ordering hooks from another.
 class StaticAnnotator {
  public:
-  StaticAnnotator(const verify::CoreModel& model, std::uint64_t footprintBytes);
+  StaticAnnotator(sim::MachineConfig machine, std::uint64_t footprintBytes);
 
   /// Fills predCpiLo/predBound (left NaN/"" when the variant is not asm,
   /// does not parse, or has no valid bound). Measured fields are untouched.
@@ -41,7 +41,7 @@ class StaticAnnotator {
 
   const Entry& entry(const CampaignVariant& variant);
 
-  verify::CoreModel model_;
+  sim::MachineConfig machine_;
   std::uint64_t footprint_ = 0;
   std::mutex mutex_;
   std::map<std::string, Entry> cache_;
@@ -49,9 +49,9 @@ class StaticAnnotator {
 
 /// Builds the annotator for a run, priced against the named simulated
 /// machine (see microlauncher --list-arch) with the kernel request's summed
-/// array bytes as the stability footprint. The model is priced from `arch`
-/// even for the native backend: the sim's port geometry is the only model
-/// the repo carries, and the bound is a bound, not an estimate.
+/// array bytes as the stability footprint. The bound is priced from `arch`
+/// even for the native backend: the sim's machine description is the only
+/// one the repo carries, and the bound is a bound, not an estimate.
 std::shared_ptr<StaticAnnotator> makeStaticAnnotator(
     const std::string& arch, const KernelRequest& request);
 

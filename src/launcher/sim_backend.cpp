@@ -28,15 +28,13 @@ std::uint64_t analyzeChunkStride(const asmparse::Program& program) {
   std::int64_t pointerStep = 0;
   std::int64_t counterStep = 0;
   for (const asmparse::DecodedInsn& insn : program.instructions) {
-    if (insn.desc->kind != isa::InstrKind::IntAlu) continue;
+    bool isSub = insn.recipe.op == isa::Opcode::Sub;
+    if (insn.recipe.op != isa::Opcode::Add && !isSub) continue;
     if (insn.operands.size() != 2) continue;
     if (insn.operands[0].kind != asmparse::DecodedOperand::Kind::Imm) continue;
     if (insn.operands[1].kind != asmparse::DecodedOperand::Kind::Reg) continue;
     const isa::PhysReg& reg = insn.operands[1].reg;
     if (reg.cls != isa::RegClass::Gpr) continue;
-    bool isAdd = insn.desc->mnemonic == "add";
-    bool isSub = insn.desc->mnemonic == "sub";
-    if (!isAdd && !isSub) continue;
     std::int64_t step = insn.operands[0].imm * (isSub ? -1 : 1);
     if (reg.index == isa::kRdi) {
       counterStep = step;

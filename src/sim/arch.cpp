@@ -1,8 +1,24 @@
 #include "sim/arch.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace microtools::sim {
+
+int MachineConfig::ports(isa::ExecUnit unit) const {
+  int count = 1;
+  switch (unit) {
+    case isa::ExecUnit::Load: count = loadPorts; break;
+    case isa::ExecUnit::Store: count = storePorts; break;
+    case isa::ExecUnit::Alu: count = aluPorts; break;
+    case isa::ExecUnit::FpAdd: count = fpAddPorts; break;
+    case isa::ExecUnit::FpMul:
+    case isa::ExecUnit::FpDiv: count = fpMulPorts; break;
+    case isa::ExecUnit::Branch: count = branchPorts; break;
+  }
+  return std::max(count, 1);
+}
 
 MachineConfig sandyBridgeE31240() {
   MachineConfig m;

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "isa/instructions.hpp"
+
 namespace microtools::sim {
 
 /// One private cache level (L1 or L2): latency is expressed in *core* clock
@@ -25,8 +27,8 @@ struct SharedCacheConfig {
   double latencyNs = 15.0;
 };
 
-/// Complete machine description used by the simulator and the launcher's
-/// architecture registry (Table 1 of the paper).
+/// Complete machine description used by the simulator, the static cost
+/// model and the launcher's architecture registry (Table 1 of the paper).
 struct MachineConfig {
   std::string name;
 
@@ -90,6 +92,10 @@ struct MachineConfig {
   }
 
   int totalCores() const { return sockets * coresPerSocket; }
+
+  /// Ports serving one execution unit (at least 1). The unpipelined
+  /// divider has a pool of its own, as many ports as the FP multiplier.
+  int ports(isa::ExecUnit unit) const;
 
   /// Core-cycle conversions.
   double coreCyclesPerNs() const { return coreGHz; }

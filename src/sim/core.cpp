@@ -173,17 +173,12 @@ std::optional<std::uint64_t> ssSolveExit(isa::Condition cond, std::int64_t r0,
 CoreSim::CoreSim(const MachineConfig& config, MemorySystem& memsys,
                  int coreId)
     : config_(config), memsys_(memsys), coreId_(coreId) {
-  auto setPorts = [this](Unit unit, int count) {
-    portFree_[static_cast<int>(unit)].assign(
-        static_cast<std::size_t>(std::max(count, 1)), 0);
-  };
-  setPorts(Unit::Load, config_.loadPorts);
-  setPorts(Unit::Store, config_.storePorts);
-  setPorts(Unit::Alu, config_.aluPorts);
-  setPorts(Unit::FpAdd, config_.fpAddPorts);
-  setPorts(Unit::FpMul, config_.fpMulPorts);
-  setPorts(Unit::FpDiv, config_.fpMulPorts);  // divider shares the mul port
-  setPorts(Unit::Branch, config_.branchPorts);
+  for (int unit = 0; unit < isa::kExecUnitCount; ++unit) {
+    portFree_[unit].assign(
+        static_cast<std::size_t>(
+            config_.ports(static_cast<isa::ExecUnit>(unit))),
+        0);
+  }
   fillBufferFree_.assign(static_cast<std::size_t>(config_.fillBuffers), 0);
   lastWriter_.fill(-1);
 }
@@ -244,12 +239,6 @@ void CoreSim::start(const asmparse::Program& program, int n,
     auto it = program.labels.find(program.functionName);
     if (it != program.labels.end()) pc_ = it->second;
   }
-}
-
-int CoreSim::regId(const isa::PhysReg& reg) {
-  if (reg.cls == isa::RegClass::Gpr) return reg.index;
-  if (reg.cls == isa::RegClass::Xmm) return 16 + reg.index;
-  throw McError("unsupported register class in simulator");
 }
 
 std::int64_t CoreSim::readGpr(const isa::PhysReg& reg) const {
@@ -356,17 +345,20 @@ void CoreSim::executeFunctional(const asmparse::DecodedInsn& insn,
     }
     case isa::InstrKind::IntAlu: {
       // inc/dec/neg/not have one operand; the rest have two (src, dst).
+      const isa::Opcode op = insn.recipe.op;
       if (ops.size() == 1) {
         if (ops[0].kind != Kind::Reg) return;  // memory forms: timing only
         std::int64_t v = readGpr(ops[0].reg);
-        std::string_view m = insn.desc->mnemonic;
         std::int64_t r = v;
-        if (m == "inc") r = v + 1;
-        else if (m == "dec") r = v - 1;
-        else if (m == "neg") r = -v;
-        else if (m == "not") r = ~v;
+        switch (op) {
+          case isa::Opcode::Inc: r = v + 1; break;
+          case isa::Opcode::Dec: r = v - 1; break;
+          case isa::Opcode::Neg: r = -v; break;
+          case isa::Opcode::Not: r = ~v; break;
+          default: break;
+        }
         writeGpr(ops[0].reg, r);
-        if (m != "not") {
+        if (insn.recipe.writes.has(isa::RegSet::kFlags)) {
           setFlags(r, static_cast<std::uint64_t>(r), 0);
         }
         return;
@@ -374,19 +366,20 @@ void CoreSim::executeFunctional(const asmparse::DecodedInsn& insn,
       if (ops.size() != 2 || ops[1].kind != Kind::Reg) return;
       std::int64_t src = operandValue(ops[0]);
       std::int64_t dst = readGpr(ops[1].reg);
-      std::string_view m = insn.desc->mnemonic;
       std::int64_t r = dst;
-      if (m == "add") r = dst + src;
-      else if (m == "sub") r = dst - src;
-      else if (m == "and") r = dst & src;
-      else if (m == "or") r = dst | src;
-      else if (m == "xor") r = dst ^ src;
-      else if (m == "shl") r = dst << (src & 63);
-      else if (m == "shr") {
-        r = static_cast<std::int64_t>(static_cast<std::uint64_t>(dst) >>
-                                      (src & 63));
-      } else if (m == "sar") {
-        r = dst >> (src & 63);
+      switch (op) {
+        case isa::Opcode::Add: r = dst + src; break;
+        case isa::Opcode::Sub: r = dst - src; break;
+        case isa::Opcode::And: r = dst & src; break;
+        case isa::Opcode::Or: r = dst | src; break;
+        case isa::Opcode::Xor: r = dst ^ src; break;
+        case isa::Opcode::Shl: r = dst << (src & 63); break;
+        case isa::Opcode::Shr:
+          r = static_cast<std::int64_t>(static_cast<std::uint64_t>(dst) >>
+                                        (src & 63));
+          break;
+        case isa::Opcode::Sar: r = dst >> (src & 63); break;
+        default: break;
       }
       writeGpr(ops[1].reg, r);
       setFlags(r, static_cast<std::uint64_t>(dst),
@@ -414,7 +407,7 @@ void CoreSim::executeFunctional(const asmparse::DecodedInsn& insn,
       std::int64_t src = operandValue(ops[0]);
       std::int64_t dst = ops[1].kind == Kind::Reg ? readGpr(ops[1].reg)
                                                   : operandValue(ops[1]);
-      if (insn.desc->mnemonic == "test") {
+      if (insn.recipe.op == isa::Opcode::Test) {
         setFlags(dst & src, static_cast<std::uint64_t>(dst),
                  static_cast<std::uint64_t>(src));
       } else {
@@ -481,7 +474,7 @@ bool CoreSim::tryIssueOne(Uop& uop, std::uint64_t globalId,
   if (*portIt > cycle) return false;
 
   std::uint64_t completion = cycle + static_cast<std::uint64_t>(uop.latency);
-  std::uint64_t portBusyUntil = cycle + 1;
+  std::uint64_t portBusyUntil = cycle + uop.occupancy;
 
   if (uop.isMem) {
     bool needsFillBuffer =
@@ -492,7 +485,7 @@ bool CoreSim::tryIssueOne(Uop& uop, std::uint64_t globalId,
       if (*fb > cycle) return false;  // MLP limit reached
     }
     if (ssRecording_) ssCurWindow_.push_back({uop.addr, uop.bytes});
-    if (uop.unit == Unit::Load) {
+    if (uop.unit == isa::ExecUnit::Load) {
       AccessResult res = memsys_.load(coreId_, uop.addr, uop.bytes, cycle);
       completion = res.completeCycle;
       ++levelAccesses_[static_cast<int>(res.level)];
@@ -529,9 +522,7 @@ bool CoreSim::tryIssueOne(Uop& uop, std::uint64_t globalId,
     }
   }
 
-  *portIt = uop.unit == Unit::FpDiv
-                ? cycle + static_cast<std::uint64_t>(uop.latency)
-                : portBusyUntil;
+  *portIt = portBusyUntil;
   uop.issued = true;
   uop.completeCycle = completion;
   lastCompletion_ = std::max(lastCompletion_, completion);
@@ -572,11 +563,11 @@ void CoreSim::issue(std::uint64_t cycle) {
     if (uop.issued) continue;
     ++examined;
     // Stores issue in order among themselves (store-buffer FIFO).
-    if (uop.unit == Unit::Store && olderStorePending) continue;
+    if (uop.unit == isa::ExecUnit::Store && olderStorePending) continue;
     bool ok = tryIssueOne(uop, headId_ + i, cycle);
     if (ok) {
       ++issued;
-    } else if (uop.unit == Unit::Store) {
+    } else if (uop.unit == isa::ExecUnit::Store) {
       olderStorePending = true;
     }
   }
@@ -593,136 +584,53 @@ void CoreSim::dispatch(std::uint64_t cycle) {
     }
     const asmparse::DecodedInsn& insn = program_->instructions[pc_];
     const isa::InstrDesc& desc = *insn.desc;
+    const asmparse::UopRecipe& recipe = insn.recipe;
 
     if (desc.kind == isa::InstrKind::Ret) {
       ++instructions_;
       doneDispatching_ = true;
       break;
     }
-    if (desc.kind == isa::InstrKind::Nop) {
+    if (recipe.count == 0) {  // nop: a dispatch slot, no micro-op
       ++instructions_;
       ++pc_;
       ++dispatched;
       continue;
     }
+    if (dispatched + recipe.count > config_.issueWidth) break;
 
-    // ---- build uops (before functional update so deps see old writers,
-    //      but addresses need current values: compute them now) -------------
-    const asmparse::DecodedOperand* memOp = nullptr;
-    bool memIsDest = false;
-    for (std::size_t i = 0; i < insn.operands.size(); ++i) {
-      if (insn.operands[i].kind == asmparse::DecodedOperand::Kind::Mem) {
-        memOp = &insn.operands[i];
-        memIsDest = (i + 1 == insn.operands.size()) &&
-                    desc.kind != isa::InstrKind::Compare &&
-                    desc.kind != isa::InstrKind::Lea;
-      }
+    // ---- push the recipe's uops (before functional update so deps see old
+    //      writers, but addresses need current values: compute them now) ---
+    std::uint64_t addr = 0;
+    int accessBytes = 0;
+    if (recipe.mem != asmparse::UopRecipe::Mem::None) {
+      addr = effectiveAddress(
+          insn.operands[static_cast<std::size_t>(recipe.memOperand)].mem);
+      accessBytes = insn.accessBytes();
     }
-    std::uint64_t addr = memOp ? effectiveAddress(memOp->mem) : 0;
-    int accessBytes = insn.accessBytes();
-
-    auto depOnMemRegs = [&](Uop& uop) {
-      if (!memOp) return;
-      if (memOp->mem.base && memOp->mem.base->cls == isa::RegClass::Gpr) {
-        addDep(uop, regId(*memOp->mem.base));
+    std::uint64_t prevId = 0;
+    for (int k = 0; k < recipe.count; ++k) {
+      const asmparse::MicroOp& op = recipe.uops[static_cast<std::size_t>(k)];
+      Uop uop;
+      uop.unit = op.unit;
+      uop.isMem = op.unit == isa::ExecUnit::Load ||
+                  op.unit == isa::ExecUnit::Store;
+      uop.latency = op.unit == isa::ExecUnit::Load ? config_.l1.latencyCycles
+                                                   : op.latency;
+      uop.occupancy = op.occupancy;
+      if (uop.isMem) {
+        uop.addr = addr;
+        uop.bytes = accessBytes;
       }
-      if (memOp->mem.index && memOp->mem.index->cls == isa::RegClass::Gpr) {
-        addDep(uop, regId(*memOp->mem.index));
+      if (k > 0) {  // a fused load-op's compute uop consumes the load
+        uop.deps[static_cast<std::size_t>(uop.depCount++)] =
+            static_cast<int>(prevId);
       }
-    };
-
-    int loadUopId = -1;
-    int neededUops = 1;
-    bool isLoad = memOp && !memIsDest && desc.kind != isa::InstrKind::Lea;
-    bool isStore = memOp && memIsDest;
-    bool fusedLoadOp = isLoad && desc.kind != isa::InstrKind::Move;
-    if (fusedLoadOp) neededUops = 2;
-    if (dispatched + neededUops > config_.issueWidth) break;
-
-    if (isLoad) {
-      Uop load;
-      load.unit = Unit::Load;
-      load.isMem = true;
-      load.addr = addr;
-      load.bytes = accessBytes;
-      load.latency = config_.l1.latencyCycles;
-      depOnMemRegs(load);
-      if (!fusedLoadOp) {
-        // Plain move load: destination register is the last operand.
-        const auto& dst = insn.operands.back();
-        if (dst.kind == asmparse::DecodedOperand::Kind::Reg) {
-          load.dst = regId(dst.reg);
-        }
-      }
-      std::uint64_t id = pushUop(load);
-      if (fusedLoadOp) {
-        loadUopId = static_cast<int>(id);
-      } else if (load.dst >= 0) {
-        noteWrite(load.dst, id);
-      }
-      ++dispatched;
-    }
-
-    if (isStore) {
-      Uop store;
-      store.unit = Unit::Store;
-      store.isMem = true;
-      store.addr = addr;
-      store.bytes = accessBytes;
-      store.latency = 1;
-      depOnMemRegs(store);
-      // Data source: every non-memory source operand.
-      for (std::size_t i = 0; i + 1 < insn.operands.size(); ++i) {
-        if (insn.operands[i].kind == asmparse::DecodedOperand::Kind::Reg) {
-          addDep(store, regId(insn.operands[i].reg));
-        }
-      }
-      pushUop(store);
-      ++dispatched;
-    } else if (!isLoad || fusedLoadOp) {
-      // Compute uop (also covers reg-reg moves and branches).
-      Uop compute;
-      compute.latency = std::max(desc.latency, 1);
-      switch (desc.kind) {
-        case isa::InstrKind::FpAdd: compute.unit = Unit::FpAdd; break;
-        case isa::InstrKind::FpMul: compute.unit = Unit::FpMul; break;
-        case isa::InstrKind::FpDiv: compute.unit = Unit::FpDiv; break;
-        case isa::InstrKind::CondBranch:
-        case isa::InstrKind::Jump: compute.unit = Unit::Branch; break;
-        default: compute.unit = Unit::Alu; break;
-      }
-      if (loadUopId >= 0) {
-        compute.deps[static_cast<std::size_t>(compute.depCount++)] = loadUopId;
-      }
-      // Register sources: all register operands (AT&T: dst is read-modify-
-      // write except for plain moves).
-      bool isPlainMove = desc.kind == isa::InstrKind::Move ||
-                         desc.kind == isa::InstrKind::Lea;
-      for (std::size_t i = 0; i < insn.operands.size(); ++i) {
-        const auto& op = insn.operands[i];
-        if (op.kind != asmparse::DecodedOperand::Kind::Reg) continue;
-        bool isDst = (i + 1 == insn.operands.size());
-        if (isDst && isPlainMove) continue;  // pure overwrite
-        addDep(compute, regId(op.reg));
-      }
-      if (desc.kind == isa::InstrKind::Lea && memOp) depOnMemRegs(compute);
-      if (desc.kind == isa::InstrKind::CondBranch) {
-        addDep(compute, kFlagsReg);
-      }
-      // Destination register.
-      if (!insn.operands.empty() &&
-          insn.operands.back().kind == asmparse::DecodedOperand::Kind::Reg &&
-          desc.kind != isa::InstrKind::Compare &&
-          desc.kind != isa::InstrKind::CondBranch &&
-          desc.kind != isa::InstrKind::Jump) {
-        compute.dst = regId(insn.operands.back().reg);
-      }
-      std::uint64_t id = pushUop(compute);
-      if (compute.dst >= 0) noteWrite(compute.dst, id);
-      bool writesFlags = desc.kind == isa::InstrKind::IntAlu ||
-                         desc.kind == isa::InstrKind::IntMul ||
-                         desc.kind == isa::InstrKind::Compare;
-      if (writesFlags) noteWrite(kFlagsReg, id);
+      op.srcs.forEach([&](int slot) { addDep(uop, slot); });
+      uop.dst = op.dst;
+      prevId = pushUop(uop);
+      if (op.dst >= 0) noteWrite(op.dst, prevId);
+      if (op.writesFlags) noteWrite(isa::RegSet::kFlags, prevId);
       ++dispatched;
     }
 
@@ -1000,18 +908,16 @@ bool CoreSim::ssConfirm(int period) const {
 
 bool CoreSim::ssCollectMemOps(std::vector<SsMemOp>& ops) {
   using Kind = asmparse::DecodedOperand::Kind;
+  using Mem = asmparse::UopRecipe::Mem;
   // The exit iteration falls through into the epilogue; it must be free of
   // memory accesses and of control flow that could re-enter the loop.
   for (std::size_t pc = ssBranchPc_ + 1; pc < program_->instructions.size();
        ++pc) {
     const asmparse::DecodedInsn& insn = program_->instructions[pc];
     if (insn.desc->kind == isa::InstrKind::CondBranch ||
-        insn.desc->kind == isa::InstrKind::Jump) {
+        insn.desc->kind == isa::InstrKind::Jump ||
+        insn.recipe.mem != Mem::None) {
       return false;
-    }
-    if (insn.desc->kind == isa::InstrKind::Lea) continue;
-    for (const auto& op : insn.operands) {
-      if (op.kind == Kind::Mem) return false;
     }
   }
 
@@ -1031,22 +937,14 @@ bool CoreSim::ssCollectMemOps(std::vector<SsMemOp>& ops) {
       const asmparse::DecodedInsn& insn = program_->instructions[pc];
       const isa::InstrDesc& desc = *insn.desc;
       if (desc.kind == isa::InstrKind::Ret) return false;
-      const asmparse::DecodedOperand* memOp = nullptr;
-      bool memIsDest = false;
-      for (std::size_t i = 0; i < insn.operands.size(); ++i) {
-        if (insn.operands[i].kind == Kind::Mem) {
-          memOp = &insn.operands[i];
-          memIsDest = (i + 1 == insn.operands.size()) &&
-                      desc.kind != isa::InstrKind::Compare &&
-                      desc.kind != isa::InstrKind::Lea;
-        }
-      }
-      if (memOp && desc.kind != isa::InstrKind::Lea) {
+      const asmparse::UopRecipe& recipe = insn.recipe;
+      if (recipe.mem != Mem::None) {
         SsMemOp op;
         op.pc = pc;
-        op.addr = effectiveAddress(memOp->mem);
+        op.addr = effectiveAddress(
+            insn.operands[static_cast<std::size_t>(recipe.memOperand)].mem);
         op.bytes = insn.accessBytes();
-        op.isStore = memIsDest;
+        op.isStore = recipe.mem == Mem::Store;
         acc.push_back(op);
       }
       bool taken = false;

@@ -113,21 +113,15 @@ class CoreSim {
   void setSteadyState(const SteadyStateOptions& opts) { ss_ = opts; }
 
  private:
-  // Register-file ids: 0-15 GPR, 16-31 XMM, 32 flags.
-  static constexpr int kNumRegs = 33;
-  static constexpr int kFlagsReg = 32;
-
-  enum class Unit : std::uint8_t {
-    Load, Store, Alu, FpAdd, FpMul, FpDiv, Branch
-  };
-
+  // Register-file ids are isa::RegSet slots: 0-15 GPR, 16-31 XMM, 32 flags.
   struct Uop {
-    Unit unit = Unit::Alu;
+    isa::ExecUnit unit = isa::ExecUnit::Alu;
     int dst = -1;
     std::array<int, 4> deps{};  // producer uop global ids; -1 = none
     int depCount = 0;
     int latency = 1;
     bool isMem = false;
+    std::uint8_t occupancy = 1;  // cycles the uop holds its port
     std::uint64_t addr = 0;
     int bytes = 0;
     bool issued = false;
@@ -157,7 +151,6 @@ class CoreSim {
   bool evaluateCondition(isa::Condition cond) const;
 
   // -- dispatch helpers ------------------------------------------------------
-  static int regId(const isa::PhysReg& reg);
   void addDep(Uop& uop, int reg) const;
   void noteWrite(int reg, std::uint64_t producerId);
   std::uint64_t pushUop(Uop uop);
@@ -242,8 +235,8 @@ class CoreSim {
   // Timing state.
   std::deque<Uop> rob_;
   std::uint64_t headId_ = 0;                 // global id of rob_.front()
-  std::array<std::int64_t, kNumRegs> lastWriter_{};  // -1 = none in flight
-  std::vector<std::uint64_t> portFree_[7];   // per Unit
+  std::array<std::int64_t, isa::RegSet::kSlots> lastWriter_{};  // -1 = none
+  std::vector<std::uint64_t> portFree_[isa::kExecUnitCount];  // per unit
   std::vector<std::uint64_t> fillBufferFree_;
   std::array<RecentStore, 16> recentStores_{};
   std::size_t recentStoreNext_ = 0;

@@ -19,6 +19,7 @@
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
+#include "verify/verify.hpp"
 
 using namespace microtools;
 using launcher::LauncherOptions;
@@ -42,11 +43,9 @@ std::string detectKind(const LauncherOptions& options) {
 }
 
 std::unique_ptr<launcher::KernelHandle> loadKernel(
-    launcher::Backend& backend, const LauncherOptions& options) {
-  std::string kind = detectKind(options);
-  if (kind == "asm") {
-    return backend.load(readFile(options.inputFile), options.function);
-  }
+    launcher::Backend& backend, const LauncherOptions& options,
+    const std::string& kind, const std::string& asmText) {
+  if (kind == "asm") return backend.load(asmText, options.function);
   auto* nb = dynamic_cast<native::NativeBackend*>(&backend);
   if (!nb) {
     throw McError("input kind '" + kind +
@@ -60,6 +59,37 @@ std::unique_ptr<launcher::KernelHandle> loadKernel(
     return nb->loadSharedObject(options.inputFile, options.function);
   }
   throw McError("unknown input kind: " + kind);
+}
+
+/// Runs the campaign's pre-flight verifier on an assembly input for every
+/// request it is about to run with (each configuration of an alignment
+/// sweep). Under --verify warn or strict the first failing report is
+/// printed; strict then refuses the run. Returns false when it refused.
+bool passesPreflight(const LauncherOptions& options, const std::string& asmText,
+                     const std::vector<launcher::KernelRequest>& requests) {
+  launcher::VerifyMode mode = options.explore.campaign.verify;
+  if (mode == launcher::VerifyMode::Off) return true;
+  std::size_t failed = 0;
+  for (const launcher::KernelRequest& request : requests) {
+    verify::VerifyReport report =
+        verify::verifyAssembly(asmText, launcher::preflightOptions(request));
+    if (report.ok()) continue;
+    if (failed++ == 0) {
+      std::fputs(verify::renderText(report, options.inputFile).c_str(),
+                 stderr);
+    }
+  }
+  if (failed == 0) return true;
+  std::string what = std::to_string(failed) + " of " +
+                     std::to_string(requests.size()) +
+                     " configuration(s) of " + options.inputFile +
+                     " failed pre-flight verification";
+  if (mode == launcher::VerifyMode::Strict) {
+    std::fprintf(stderr, "error: %s (--verify strict)\n", what.c_str());
+    return false;
+  }
+  log::warn(what + "; running anyway (--verify warn)");
+  return true;
 }
 
 int runStandalone(const LauncherOptions& options) {
@@ -174,9 +204,26 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    launcher::MicroLauncher ml(launcher::backendFactoryFor(options.explore)(0));
-    auto kernel = loadKernel(ml.backend(), options);
     launcher::KernelRequest request = options.toRequest();
+    launcher::AlignmentSweepSpec spec;
+    spec.minOffset = options.alignMin;
+    spec.maxOffset = options.alignMax;
+    spec.step = options.alignStep;
+    spec.maxConfigs = options.maxAlignConfigs;
+    std::string kind = detectKind(options);
+    std::string asmText;
+    if (kind == "asm") {
+      asmText = readFile(options.inputFile);
+      if (!passesPreflight(options, asmText,
+                           options.sweepAlignment
+                               ? launcher::alignmentRequests(request, spec)
+                               : std::vector{request})) {
+        return 1;
+      }
+    }
+
+    launcher::MicroLauncher ml(launcher::backendFactoryFor(options.explore)(0));
+    auto kernel = loadKernel(ml.backend(), options, kind, asmText);
     const launcher::ProtocolOptions& protocol =
         options.explore.campaign.protocol;
 
@@ -221,11 +268,6 @@ int main(int argc, char** argv) {
     }
 
     if (options.sweepAlignment) {
-      launcher::AlignmentSweepSpec spec;
-      spec.minOffset = options.alignMin;
-      spec.maxOffset = options.alignMax;
-      spec.step = options.alignStep;
-      spec.maxConfigs = options.maxAlignConfigs;
       auto samples = ml.alignmentSweep(*kernel, request, spec, protocol);
       std::vector<std::string> header;
       for (std::size_t a = 0; a < request.arrays.size(); ++a) {

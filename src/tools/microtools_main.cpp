@@ -4,6 +4,7 @@
 // measures them, and a content-addressed cache makes reruns pay only for
 // new work.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -248,17 +249,8 @@ int runLintCommand(int argc, char** argv) {
   auto lintUnit = [&](const std::string& label, const std::string& asmText,
                       int arrayCount) {
     int arrays = geometry.nbVectors > 0 ? geometry.nbVectors : arrayCount;
-    launcher::KernelRequest request =
-        launcher::kernelRequest(geometry, arrays > 0 ? arrays : 5);
-    verify::VerifyOptions options;
-    if (arrays > 0) options.arrayCount = arrays;
-    verify::LaunchContext context;
-    context.tripCount = request.n;
-    for (const launcher::ArraySpec& a : request.arrays) {
-      context.arrays.push_back(
-          verify::ArrayExtent{a.bytes, a.alignment, a.offset});
-    }
-    options.context = std::move(context);
+    verify::VerifyOptions options = launcher::preflightOptions(
+        launcher::kernelRequest(geometry, arrays > 0 ? arrays : 5));
     verify::VerifyReport report = verify::verifyAssembly(asmText, options);
     totalErrors += report.errorCount();
     totalWarnings += report.warningCount();
@@ -292,11 +284,7 @@ cli::Parser makeAnalyzeParser() {
                    "Machine whose port geometry and L1 size the bounds are "
                    "priced against (see microlauncher --list-arch)",
                    "nehalem_x5650_2s");
-  parser.addInt("nbvectors",
-                "Arrays passed to the kernel (0 = derive from the generated "
-                "program; bare .s files then score fits_l1 as unknown)",
-                0);
-  parser.addInt("array-bytes", "Size of each array in bytes", 1 << 20);
+  launcher::addArrayShapeFlags(parser, 0);
   parser.addFlag("json", "Emit one JSON object per analyzed unit "
                          "(JSON lines)");
   parser.addFlag("verbose", "Enable info logging");
@@ -309,10 +297,10 @@ int runAnalyzeCommand(int argc, char** argv) {
   if (parser.getFlag("verbose")) log::setLevel(log::Level::Info);
 
   bool json = parser.getFlag("json");
-  auto arrayBytes = static_cast<std::uint64_t>(parser.getInt("array-bytes"));
-  int nbVectors = static_cast<int>(parser.getInt("nbvectors"));
-  verify::CoreModel model = verify::coreModelFromMachine(
-      launcher::archByName(parser.getString("arch")).config);
+  launcher::ExploreOptions shape;
+  launcher::arrayShapeFromParser(parser, shape);
+  const sim::MachineConfig machine =
+      launcher::archByName(parser.getString("arch")).config;
 
   std::size_t totalUnits = 0;
   std::size_t unbounded = 0;  // units without a valid prediction
@@ -320,16 +308,20 @@ int runAnalyzeCommand(int argc, char** argv) {
 
   auto analyzeUnit = [&](const std::string& label, const std::string& asmText,
                          int arrayCount) {
-    if (nbVectors > 0) arrayCount = nbVectors;
+    // A bare .s file gets the SysV maximum of 5 arrays, as lint assumes:
+    // the footprint is then an upper bound. A footprint past 2^64 bytes
+    // saturates (it fits no L1 either way).
+    int arrays = shape.nbVectors > 0 ? shape.nbVectors
+                                     : (arrayCount > 0 ? arrayCount : 5);
     ++totalUnits;
-    verify::CyclePrediction p = verify::predictAssembly(asmText, model);
+    verify::CyclePrediction p = verify::predictAssembly(asmText, machine);
     verify::StabilityOptions geometry;
-    if (arrayCount > 0) {
-      geometry.footprintBytes =
-          static_cast<std::uint64_t>(arrayCount) * arrayBytes;
-    }
+    geometry.footprintBytes =
+        shape.arrayBytes > UINT64_MAX / static_cast<std::uint64_t>(arrays)
+            ? UINT64_MAX
+            : static_cast<std::uint64_t>(arrays) * shape.arrayBytes;
     verify::StabilityReport s =
-        verify::analyzeStability(asmText, model, geometry);
+        verify::analyzeStability(asmText, machine, geometry);
     if (!p.valid) ++unbounded;
 
     if (json) {

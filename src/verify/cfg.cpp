@@ -96,22 +96,28 @@ Cfg buildCfg(const asmparse::Program& program) {
 
 std::optional<std::int64_t> constantDelta(const asmparse::DecodedInsn& insn,
                                           const isa::PhysReg& reg) {
-  DefUse du = defUse(insn);
-  if (!du.defs.has(reg)) return 0;
+  if (!insn.recipe.writes.has(reg)) return 0;
 
   const auto& ops = insn.operands;
   if (ops.empty() || ops.back().kind != DecodedOperand::Kind::Reg ||
       !ops.back().reg.sameArchReg(reg)) {
     return std::nullopt;  // written through some other operand shape
   }
-  const isa::InstrDesc& d = *insn.desc;
-  if (d.kind == isa::InstrKind::IntAlu) {
-    if (d.mnemonic == "inc" && ops.size() == 1) return 1;
-    if (d.mnemonic == "dec" && ops.size() == 1) return -1;
-    if ((d.mnemonic == "add" || d.mnemonic == "sub") && ops.size() == 2 &&
-        ops[0].kind == DecodedOperand::Kind::Imm) {
-      return d.mnemonic == "add" ? ops[0].imm : -ops[0].imm;
-    }
+  switch (insn.recipe.op) {
+    case isa::Opcode::Inc:
+      if (ops.size() == 1) return 1;
+      break;
+    case isa::Opcode::Dec:
+      if (ops.size() == 1) return -1;
+      break;
+    case isa::Opcode::Add:
+    case isa::Opcode::Sub:
+      if (ops.size() == 2 && ops[0].kind == DecodedOperand::Kind::Imm) {
+        return insn.recipe.op == isa::Opcode::Add ? ops[0].imm : -ops[0].imm;
+      }
+      break;
+    default:
+      break;
   }
   return std::nullopt;
 }
@@ -119,7 +125,7 @@ std::optional<std::int64_t> constantDelta(const asmparse::DecodedInsn& insn,
 bool regionPreserves(const asmparse::Program& program, std::size_t first,
                      std::size_t last, const isa::PhysReg& reg) {
   for (std::size_t i = first; i <= last; ++i) {
-    if (defUse(program.instructions[i]).defs.has(reg)) return false;
+    if (program.instructions[i].recipe.writes.has(reg)) return false;
   }
   return true;
 }
@@ -131,13 +137,12 @@ void resolveComparison(const asmparse::Program& program, LoopInfo& loop) {
   if (!loop.flagSetter) return;
   const DecodedInsn& setter = program.instructions[*loop.flagSetter];
   const auto& ops = setter.operands;
-  const isa::InstrDesc& d = *setter.desc;
 
-  if (d.kind == isa::InstrKind::Compare) {
+  if (setter.desc->kind == isa::InstrKind::Compare) {
     // AT&T: cmp src,dst branches on dst <cond> src.
     if (ops.size() != 2 || ops[1].kind != DecodedOperand::Kind::Reg) return;
     loop.inductionReg = ops[1].reg;
-    if (d.mnemonic == "test") {
+    if (setter.recipe.op == isa::Opcode::Test) {
       // Only the test %r,%r self-test maps onto a comparison with zero.
       if (ops[0].kind == DecodedOperand::Kind::Reg &&
           ops[0].reg.sameArchReg(ops[1].reg)) {
@@ -160,7 +165,7 @@ void resolveComparison(const asmparse::Program& program, LoopInfo& loop) {
 
   // Flag-setting arithmetic (sub $4,%rdi; jge): the branch compares the
   // result against zero.
-  if (d.writesFlags && !ops.empty() &&
+  if (!ops.empty() &&
       ops.back().kind == DecodedOperand::Kind::Reg) {
     loop.inductionReg = ops.back().reg;
     loop.boundImm = 0;
@@ -216,7 +221,7 @@ LoopScan findLoops(const asmparse::Program& program, const Cfg& cfg) {
     loop.branchIndex = branch;
     loop.condition = program.instructions[branch].desc->condition;
     for (std::size_t i = branch; i-- > head;) {
-      if (program.instructions[i].desc->writesFlags) {
+      if (program.instructions[i].recipe.writes.has(RegSet::kFlags)) {
         loop.flagSetter = i;
         break;
       }

@@ -12,43 +12,13 @@ namespace microtools::verify {
 
 namespace {
 
-/// Port pools of the core model. The divider has no pool of its own: its
-/// micro-ops occupy the FpMul ports (for their full latency), exactly as
-/// the simulator schedules them.
-enum Pool : int { kLoad, kStore, kAlu, kFpAdd, kFpMul, kBranch, kPoolCount };
-
-constexpr std::array<const char*, kPoolCount> kPoolNames = {
-    "load", "store", "alu", "fp-add", "fp-mul", "branch"};
-
-int poolFor(isa::ExecUnit unit) {
-  switch (unit) {
-    case isa::ExecUnit::FpAdd: return kFpAdd;
-    case isa::ExecUnit::FpMul: return kFpMul;
-    case isa::ExecUnit::FpDiv: return kFpMul;  // shared divider port
-    case isa::ExecUnit::Branch: return kBranch;
-    default: return kAlu;
-  }
-}
-
-int poolPorts(const CoreModel& model, int pool) {
-  switch (pool) {
-    case kLoad: return model.loadPorts;
-    case kStore: return model.storePorts;
-    case kAlu: return model.aluPorts;
-    case kFpAdd: return model.fpAddPorts;
-    case kFpMul: return model.fpMulPorts;
-    case kBranch: return model.branchPorts;
-    default: return 1;
-  }
-}
-
-/// One micro-op of the loop body after the operand-driven load/store split
-/// (the same decomposition the simulator's dispatch stage performs).
+/// One micro-op of the loop body, as its instruction recipe dispatches it.
 struct UopNode {
-  enum class Kind { Load, Store, Compute } kind = Kind::Compute;
-  int pool = kAlu;
+  isa::ExecUnit unit = isa::ExecUnit::Alu;
   double latency = 1.0;      ///< producer latency seen by dependents
   double occupancy = 1.0;    ///< port-cycles this micro-op holds its pool
+  RegSet srcs;
+  RegSet writes;             ///< destination register and flags
 };
 
 /// Register def-use edge between micro-ops. `distance` counts iteration
@@ -70,184 +40,64 @@ struct BodyGraph {
     bool atomic = false;
   };
   std::vector<SlotDemand> demands;
-  bool ok = true;
-  std::vector<std::string> warnings;
 };
 
-/// Mirrors CoreSim::dispatch()'s instruction decomposition and dependency
-/// wiring over one loop iteration [loop.headIndex, loop.branchIndex].
-/// Register dependences use the RegSet slot numbering; a use with no
-/// earlier writer in the iteration binds to the iteration's final writer
-/// at distance 1 (the straight-line body makes that reaching def exact).
+/// The micro-ops of one loop iteration [loop.headIndex, loop.branchIndex]
+/// from their recipes, with loads priced at the machine's L1 hit latency.
+/// A register use binds to the closest earlier writer in the iteration,
+/// else to the iteration's final writer at distance 1 (the straight-line
+/// body makes that reaching def exact).
 BodyGraph buildBodyGraph(const asmparse::Program& program,
-                         const LoopInfo& loop, const CoreModel& model) {
+                         const LoopInfo& loop,
+                         const sim::MachineConfig& machine) {
   BodyGraph graph;
-
-  struct Use {
-    std::size_t node;
-    int reg;
-  };
-  struct Def {
-    std::size_t node;
-    int reg;
-  };
-  std::vector<Use> uses;
-  std::vector<Def> defs;  // in program order
-
-  std::vector<std::string> unmodeled;
   for (std::size_t pc = loop.headIndex; pc <= loop.branchIndex; ++pc) {
-    const asmparse::DecodedInsn& insn = program.instructions[pc];
-    const isa::InstrDesc& desc = *insn.desc;
-
-    if (desc.unmodeled) {
-      std::string base{desc.mnemonic};
-      if (std::find(unmodeled.begin(), unmodeled.end(), base) ==
-          unmodeled.end()) {
-        unmodeled.push_back(base);
-        graph.warnings.push_back("unmodeled opcode '" + base +
-                                 "': no cost metadata");
-      }
-      graph.ok = false;
-      continue;
-    }
-    if (desc.kind == isa::InstrKind::Ret) {
-      graph.warnings.push_back("ret inside loop body");
-      graph.ok = false;
-      continue;
-    }
-    if (desc.kind == isa::InstrKind::Nop) {
-      graph.demands.push_back({1, false});
-      continue;
-    }
-
-    const asmparse::DecodedOperand* memOp = nullptr;
-    bool memIsDest = false;
-    for (std::size_t i = 0; i < insn.operands.size(); ++i) {
-      if (insn.operands[i].kind == asmparse::DecodedOperand::Kind::Mem) {
-        memOp = &insn.operands[i];
-        memIsDest = (i + 1 == insn.operands.size()) &&
-                    desc.kind != isa::InstrKind::Compare &&
-                    desc.kind != isa::InstrKind::Lea;
-      }
-    }
-    bool isLoad = memOp && !memIsDest && desc.kind != isa::InstrKind::Lea;
-    bool isStore = memOp && memIsDest;
-    bool fusedLoadOp = isLoad && desc.kind != isa::InstrKind::Move;
-
-    auto memRegUses = [&](std::size_t node) {
-      if (!memOp) return;
-      if (memOp->mem.base) uses.push_back({node, RegSet::slot(*memOp->mem.base)});
-      if (memOp->mem.index) {
-        uses.push_back({node, RegSet::slot(*memOp->mem.index)});
-      }
-    };
-
-    int slots = 0;
-    std::size_t loadNode = static_cast<std::size_t>(-1);
-    if (isLoad) {
-      loadNode = graph.nodes.size();
-      graph.nodes.push_back({UopNode::Kind::Load, kLoad,
-                             static_cast<double>(model.loadLatency), 1.0});
-      memRegUses(loadNode);
-      if (!fusedLoadOp) {
-        const auto& dst = insn.operands.back();
-        if (dst.kind == asmparse::DecodedOperand::Kind::Reg) {
-          defs.push_back({loadNode, RegSet::slot(dst.reg)});
-        }
-      }
-      ++slots;
-    }
-
-    if (isStore) {
-      std::size_t node = graph.nodes.size();
-      graph.nodes.push_back({UopNode::Kind::Store, kStore, 1.0, 1.0});
-      memRegUses(node);
-      for (std::size_t i = 0; i + 1 < insn.operands.size(); ++i) {
-        if (insn.operands[i].kind == asmparse::DecodedOperand::Kind::Reg) {
-          uses.push_back({node, RegSet::slot(insn.operands[i].reg)});
-        }
-      }
-      ++slots;
-    } else if (!isLoad || fusedLoadOp) {
-      std::size_t node = graph.nodes.size();
-      graph.nodes.push_back(
-          {UopNode::Kind::Compute, poolFor(desc.unit),
-           static_cast<double>(std::max(desc.latency, 1)),
-           std::max(desc.uops, 1) * desc.recipThroughput});
-      if (fusedLoadOp) {
+    const asmparse::UopRecipe& recipe = program.instructions[pc].recipe;
+    // A nop has no micro-op but still takes a dispatch slot.
+    graph.demands.push_back({std::max<int>(recipe.count, 1),
+                             recipe.mem == asmparse::UopRecipe::Mem::Fused});
+    for (int k = 0; k < recipe.count; ++k) {
+      const asmparse::MicroOp& op = recipe.uops[static_cast<std::size_t>(k)];
+      UopNode node{op.unit,
+                   op.unit == isa::ExecUnit::Load
+                       ? static_cast<double>(machine.l1.latencyCycles)
+                       : static_cast<double>(op.latency),
+                   static_cast<double>(op.occupancy), op.srcs, {}};
+      node.writes.add(op.dst);
+      if (op.writesFlags) node.writes.add(RegSet::kFlags);
+      if (k > 0) {  // a fused load-op's compute consumes the load
+        std::size_t load = graph.nodes.size() - 1;
         graph.edges.push_back(
-            {loadNode, node, graph.nodes[loadNode].latency, 0});
+            {load, graph.nodes.size(), graph.nodes[load].latency, 0});
       }
-      bool isPlainMove = desc.kind == isa::InstrKind::Move ||
-                         desc.kind == isa::InstrKind::Lea;
-      for (std::size_t i = 0; i < insn.operands.size(); ++i) {
-        const auto& op = insn.operands[i];
-        if (op.kind != asmparse::DecodedOperand::Kind::Reg) continue;
-        if (i + 1 == insn.operands.size() && isPlainMove) continue;
-        uses.push_back({node, RegSet::slot(op.reg)});
-      }
-      if (desc.kind == isa::InstrKind::Lea) memRegUses(node);
-      if (desc.kind == isa::InstrKind::CondBranch) {
-        uses.push_back({node, RegSet::kFlags});
-      }
-      if (!insn.operands.empty() &&
-          insn.operands.back().kind == asmparse::DecodedOperand::Kind::Reg &&
-          desc.kind != isa::InstrKind::Compare &&
-          desc.kind != isa::InstrKind::CondBranch &&
-          desc.kind != isa::InstrKind::Jump) {
-        defs.push_back({node, RegSet::slot(insn.operands.back().reg)});
-      }
-      if (desc.kind == isa::InstrKind::IntAlu ||
-          desc.kind == isa::InstrKind::IntMul ||
-          desc.kind == isa::InstrKind::Compare) {
-        defs.push_back({node, RegSet::kFlags});
-      }
-      slots += std::max(desc.uops, 1);
+      graph.nodes.push_back(node);
     }
-
-    graph.demands.push_back({slots, fusedLoadOp});
   }
 
-  if (!graph.ok) return graph;
-
-  // Resolve every register use to its reaching def: the closest earlier
-  // writer in this iteration, else the iteration's final writer one trip
-  // back (distance 1). Uses and defs both carry program order via the
-  // node index, so a single sweep suffices.
   std::array<std::int64_t, RegSet::kSlots> finalWriter;
   finalWriter.fill(-1);
-  for (const Def& d : defs) {
-    if (d.reg >= 0) finalWriter[static_cast<std::size_t>(d.reg)] =
-        static_cast<std::int64_t>(d.node);
+  for (std::size_t n = 0; n < graph.nodes.size(); ++n) {
+    graph.nodes[n].writes.forEach([&](int s) {
+      finalWriter[static_cast<std::size_t>(s)] = static_cast<std::int64_t>(n);
+    });
   }
   std::array<std::int64_t, RegSet::kSlots> lastWriter;
   lastWriter.fill(-1);
-  std::size_t nextDef = 0;
-  // Walk nodes in order, interleaving defs (defs vector is already in
-  // program order; a node's own defs land after its uses are resolved).
-  std::sort(uses.begin(), uses.end(),
-            [](const Use& a, const Use& b) { return a.node < b.node; });
-  std::size_t nextUse = 0;
-  for (std::size_t node = 0; node < graph.nodes.size(); ++node) {
-    for (; nextUse < uses.size() && uses[nextUse].node == node; ++nextUse) {
-      int reg = uses[nextUse].reg;
-      if (reg < 0) continue;
-      std::int64_t writer = lastWriter[static_cast<std::size_t>(reg)];
+  for (std::size_t n = 0; n < graph.nodes.size(); ++n) {
+    graph.nodes[n].srcs.forEach([&](int s) {
+      std::int64_t writer = lastWriter[static_cast<std::size_t>(s)];
       int distance = 0;
       if (writer < 0) {
-        writer = finalWriter[static_cast<std::size_t>(reg)];
+        writer = finalWriter[static_cast<std::size_t>(s)];
         distance = 1;
       }
-      if (writer < 0) continue;  // loop-invariant input
+      if (writer < 0) return;  // loop-invariant input
       std::size_t from = static_cast<std::size_t>(writer);
-      graph.edges.push_back({from, node, graph.nodes[from].latency, distance});
-    }
-    for (; nextDef < defs.size() && defs[nextDef].node == node; ++nextDef) {
-      if (defs[nextDef].reg >= 0) {
-        lastWriter[static_cast<std::size_t>(defs[nextDef].reg)] =
-            static_cast<std::int64_t>(node);
-      }
-    }
+      graph.edges.push_back({from, n, graph.nodes[from].latency, distance});
+    });
+    graph.nodes[n].writes.forEach([&](int s) {
+      lastWriter[static_cast<std::size_t>(s)] = static_cast<std::int64_t>(n);
+    });
   }
   return graph;
 }
@@ -256,14 +106,15 @@ BodyGraph buildBodyGraph(const asmparse::Program& program,
 /// with the fused load+compute pair kept in one cycle, mirroring the
 /// simulator's frontend (which additionally ends the cycle at the taken
 /// backward branch, so consecutive iterations never share a cycle).
-double frontendCycles(const BodyGraph& graph, const CoreModel& model) {
+double frontendCycles(const BodyGraph& graph,
+                      const sim::MachineConfig& machine) {
   int cycles = 1;
   int used = 0;
   for (const BodyGraph::SlotDemand& d : graph.demands) {
     int slots = d.slots;
     if (slots == 0) continue;
     if (d.atomic) {
-      if (used + slots > model.issueWidth) {
+      if (used + slots > machine.issueWidth) {
         ++cycles;
         used = 0;
       }
@@ -271,7 +122,7 @@ double frontendCycles(const BodyGraph& graph, const CoreModel& model) {
       continue;
     }
     for (int i = 0; i < slots; ++i) {
-      if (used + 1 > model.issueWidth) {
+      if (used + 1 > machine.issueWidth) {
         ++cycles;
         used = 0;
       }
@@ -325,7 +176,7 @@ bool loadOnCycle(const BodyGraph& graph) {
   std::vector<std::vector<std::size_t>> succ(n);
   for (const DepEdge& e : graph.edges) succ[e.from].push_back(e.to);
   for (std::size_t start = 0; start < n; ++start) {
-    if (graph.nodes[start].kind != UopNode::Kind::Load) continue;
+    if (graph.nodes[start].unit != isa::ExecUnit::Load) continue;
     std::vector<bool> seen(n, false);
     std::vector<std::size_t> stack = succ[start];
     bool found = false;
@@ -345,49 +196,30 @@ bool loadOnCycle(const BodyGraph& graph) {
   return false;
 }
 
-}  // namespace
-
-CoreModel coreModelFromMachine(const sim::MachineConfig& machine) {
-  CoreModel model;
-  model.issueWidth = machine.issueWidth;
-  model.loadPorts = machine.loadPorts;
-  model.storePorts = machine.storePorts;
-  model.aluPorts = machine.aluPorts;
-  model.fpAddPorts = machine.fpAddPorts;
-  model.fpMulPorts = machine.fpMulPorts;
-  model.branchPorts = machine.branchPorts;
-  model.loadLatency = machine.l1.latencyCycles;
-  model.l1SizeBytes = machine.l1.sizeBytes;
-  return model;
-}
-
-double CyclePrediction::cyclesLowerBound() const {
-  return std::max({frontendBound, throughputBound, latencyBound});
-}
-
+/// Predicts one single-block loop found by findLoops.
 CyclePrediction predictLoop(const asmparse::Program& program,
-                            const LoopInfo& loop, const CoreModel& model) {
+                            const LoopInfo& loop,
+                            const sim::MachineConfig& machine) {
   CyclePrediction pred;
   pred.headIndex = loop.headIndex;
   pred.branchIndex = loop.branchIndex;
   pred.headLine = program.instructions[loop.headIndex].line;
 
-  BodyGraph graph = buildBodyGraph(program, loop, model);
-  pred.warnings = graph.warnings;
-  if (!graph.ok) return pred;
+  BodyGraph graph = buildBodyGraph(program, loop, machine);
+  pred.uops = graph.nodes.size();
+  pred.frontendBound = frontendCycles(graph, machine);
 
-  pred.frontendBound = frontendCycles(graph, model);
-
-  std::array<double, kPoolCount> occupancy{};
+  std::array<double, isa::kExecUnitCount> occupancy{};
   for (const UopNode& node : graph.nodes) {
-    occupancy[static_cast<std::size_t>(node.pool)] += node.occupancy;
+    occupancy[static_cast<std::size_t>(node.unit)] += node.occupancy;
   }
   pred.binding = "frontend";
   double best = pred.frontendBound;
-  for (int pool = 0; pool < kPoolCount; ++pool) {
-    PortPressure pressure{kPoolNames[static_cast<std::size_t>(pool)],
-                          occupancy[static_cast<std::size_t>(pool)],
-                          poolPorts(model, pool)};
+  for (int u = 0; u < isa::kExecUnitCount; ++u) {
+    auto unit = static_cast<isa::ExecUnit>(u);
+    PortPressure pressure{std::string(isa::execUnitName(unit)),
+                          occupancy[static_cast<std::size_t>(u)],
+                          machine.ports(unit)};
     if (pressure.occupancy > 0.0) {
       pred.throughputBound = std::max(pred.throughputBound, pressure.bound());
       if (pressure.bound() > best) {
@@ -408,13 +240,15 @@ CyclePrediction predictLoop(const asmparse::Program& program,
   return pred;
 }
 
+}  // namespace
+
+double CyclePrediction::cyclesLowerBound() const {
+  return std::max({frontendBound, throughputBound, latencyBound});
+}
+
 CyclePrediction predictProgram(const asmparse::Program& program,
-                               const CoreModel& model) {
+                               const sim::MachineConfig& machine) {
   CyclePrediction pred;
-  for (const std::string& mnemonic : unmodeledMnemonics(program)) {
-    pred.warnings.push_back("unmodeled opcode '" + mnemonic +
-                            "': no cost metadata");
-  }
   Cfg cfg;
   try {
     cfg = buildCfg(program);
@@ -430,31 +264,18 @@ CyclePrediction predictProgram(const asmparse::Program& program,
             : "control flow beyond one single-block loop; bounds not computed");
     return pred;
   }
-  if (!pred.warnings.empty()) return pred;  // unmodeled opcodes present
-  return predictLoop(program, scan.loops.front(), model);
+  return predictLoop(program, scan.loops.front(), machine);
 }
 
 CyclePrediction predictAssembly(std::string_view asmText,
-                                const CoreModel& model) {
+                                const sim::MachineConfig& machine) {
   try {
-    return predictProgram(asmparse::parseAssembly(asmText), model);
+    return predictProgram(asmparse::parseAssembly(asmText), machine);
   } catch (const ParseError& e) {
     CyclePrediction pred;
     pred.warnings.push_back("parse error: " + e.message());
     return pred;
   }
-}
-
-std::vector<std::string> unmodeledMnemonics(const asmparse::Program& program) {
-  std::vector<std::string> out;
-  for (const asmparse::DecodedInsn& insn : program.instructions) {
-    if (!insn.desc->unmodeled) continue;
-    std::string base{insn.desc->mnemonic};
-    if (std::find(out.begin(), out.end(), base) == out.end()) {
-      out.push_back(base);
-    }
-  }
-  return out;
 }
 
 }  // namespace microtools::verify

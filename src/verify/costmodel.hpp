@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,29 +14,11 @@ struct MachineConfig;
 
 namespace microtools::verify {
 
-/// Machine geometry the static cost model prices against: the execution-port
-/// counts, dispatch width, and L1 parameters of the simulator's core model.
-/// Derived from a sim::MachineConfig so `microtools analyze` and the
-/// campaign predictions price against exactly the machine being measured.
-struct CoreModel {
-  int issueWidth = 4;       ///< micro-ops dispatched per cycle
-  int loadPorts = 1;
-  int storePorts = 1;
-  int aluPorts = 3;
-  int fpAddPorts = 1;
-  int fpMulPorts = 1;       ///< shared with the unpipelined divider
-  int branchPorts = 1;
-  int loadLatency = 4;      ///< L1 load-to-use, in core cycles
-  std::uint64_t l1SizeBytes = 32 * 1024;
-};
-
-CoreModel coreModelFromMachine(const sim::MachineConfig& machine);
-
 /// Summed micro-op occupancy of one loop iteration on one port pool.
 /// bound() is the pool's contribution to the throughput lower bound:
 /// occupancy divided by the number of ports serving the pool.
 struct PortPressure {
-  std::string unit;       ///< "load", "store", "alu", "fp-add", "fp-mul", "branch"
+  std::string unit;       ///< isa::execUnitName: "load", "fp-div", ...
   double occupancy = 0.0; ///< port-cycles demanded per iteration
   int ports = 1;
 
@@ -46,7 +27,9 @@ struct PortPressure {
   }
 };
 
-/// Static cycles/iteration lower bound for one single-block loop.
+/// Static cycles/iteration lower bound for one single-block loop, priced
+/// against a sim::MachineConfig from the same instruction recipes
+/// (asmparse::UopRecipe) the simulator dispatches.
 ///
 /// Three independent bounds, each sound against the simulator's exact
 /// core model on L1-resident streaming kernels (cache misses, aliasing
@@ -55,13 +38,13 @@ struct PortPressure {
 ///     packing; a taken backward branch ends its dispatch cycle, so
 ///     iterations never share one),
 ///   - throughputBound: max over port pools of occupancy / ports
-///     (the LP relaxation of port binding),
+///     (the LP relaxation of port binding; the divider is its own pool),
 ///   - latencyBound: maximum dependence-cycle mean over the loop-carried
 ///     def-use graph (the classic recurrence-constrained MII), including
 ///     load-feeds-address chains at L1-hit load latency.
 /// The predicted interval is [cyclesLowerBound(), +inf).
 struct CyclePrediction {
-  bool valid = false;        ///< false: unsupported shape or unmodeled opcodes
+  bool valid = false;        ///< false: unsupported loop shape
   std::size_t headIndex = 0;
   std::size_t branchIndex = 0;
   std::size_t headLine = 0;  ///< 1-based source line of the loop head
@@ -71,6 +54,9 @@ struct CyclePrediction {
   double latencyBound = 0.0;
   std::vector<PortPressure> pressure;
 
+  /// Micro-ops dispatched per iteration.
+  std::size_t uops = 0;
+
   /// Which bound is binding: "frontend", "latency", or a port pool name.
   std::string binding;
 
@@ -79,31 +65,21 @@ struct CyclePrediction {
   /// where the data lives, not just on core latencies.
   bool loadCarried = false;
 
-  /// Why the prediction is invalid or approximate (deduplicated; the
-  /// unmodeled-opcode warning is emitted once per mnemonic).
+  /// Why the prediction is invalid.
   std::vector<std::string> warnings;
 
   double cyclesLowerBound() const;
 };
 
-/// Predicts one recognized single-block loop of `program`.
-CyclePrediction predictLoop(const asmparse::Program& program,
-                            const LoopInfo& loop, const CoreModel& model);
-
 /// Whole-program prediction: valid only when the program has exactly one
 /// recognized single-block loop and no unanalyzed branches (the shape every
-/// MicroCreator kernel has). Never throws on unmodeled opcodes -- the
-/// prediction comes back invalid with warnings instead.
+/// MicroCreator kernel has).
 CyclePrediction predictProgram(const asmparse::Program& program,
-                               const CoreModel& model);
+                               const sim::MachineConfig& machine);
 
 /// Parses and predicts; parse failures come back as an invalid prediction
 /// with a warning rather than an exception.
 CyclePrediction predictAssembly(std::string_view asmText,
-                                const CoreModel& model);
-
-/// Mnemonics whose cost metadata is flagged `unmodeled`, deduplicated in
-/// first-appearance order (for warn-once diagnostics).
-std::vector<std::string> unmodeledMnemonics(const asmparse::Program& program);
+                                const sim::MachineConfig& machine);
 
 }  // namespace microtools::verify

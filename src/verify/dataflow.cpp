@@ -2,74 +2,19 @@
 
 namespace microtools::verify {
 
-namespace {
-
-using asmparse::DecodedInsn;
-using asmparse::DecodedOperand;
-
-/// xor %r,%r / pxor %x,%x and friends define their destination without
-/// depending on its previous value.
-bool isZeroingIdiom(const DecodedInsn& insn) {
-  const auto& m = insn.desc->mnemonic;
-  if (m != "xor" && m != "pxor" && m != "xorps" && m != "xorpd") return false;
-  return insn.operands.size() == 2 &&
-         insn.operands[0].kind == DecodedOperand::Kind::Reg &&
-         insn.operands[1].kind == DecodedOperand::Kind::Reg &&
-         insn.operands[0].reg.sameArchReg(insn.operands[1].reg);
-}
-
-}  // namespace
-
-DefUse defUse(const asmparse::DecodedInsn& insn) {
-  DefUse du;
-  const isa::InstrDesc& d = *insn.desc;
-  const auto& ops = insn.operands;
-
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const DecodedOperand& op = ops[i];
-    switch (op.kind) {
-      case DecodedOperand::Kind::Mem:
-        if (op.mem.base) du.uses.add(*op.mem.base);
-        if (op.mem.index) du.uses.add(*op.mem.index);
-        break;
-      case DecodedOperand::Kind::Reg: {
-        bool isDest = (i + 1 == ops.size()) && d.writesDest;
-        if (isDest) {
-          du.defs.add(op.reg);
-          if (d.readsDest) du.uses.add(op.reg);
-        } else {
-          du.uses.add(op.reg);
-        }
-        break;
-      }
-      case DecodedOperand::Kind::Imm:
-      case DecodedOperand::Kind::Label:
-        break;
-    }
-  }
-  if (isZeroingIdiom(insn)) du.uses = du.uses - du.defs;
-  if (d.writesFlags) du.defs.add(RegSet::kFlags);
-  if (d.readsFlags) du.uses.add(RegSet::kFlags);
-  return du;
-}
-
 std::vector<RegSet> liveIn(const asmparse::Program& program, const Cfg& cfg,
                            RegSet retLiveOut) {
   const std::size_t n = program.instructions.size();
-  std::vector<DefUse> du(n);
-  for (std::size_t i = 0; i < n; ++i) du[i] = defUse(program.instructions[i]);
-
   std::vector<RegSet> in(n);
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t i = n; i-- > 0;) {
+      const asmparse::DecodedInsn& insn = program.instructions[i];
       RegSet out;
-      if (program.instructions[i].desc->kind == isa::InstrKind::Ret) {
-        out = retLiveOut;
-      }
+      if (insn.desc->kind == isa::InstrKind::Ret) out = retLiveOut;
       for (std::size_t s : cfg.successors[i]) out = out | in[s];
-      RegSet next = du[i].uses | (out - du[i].defs);
+      RegSet next = insn.recipe.reads | (out - insn.recipe.writes);
       if (!(next == in[i])) {
         in[i] = next;
         changed = true;
@@ -82,9 +27,6 @@ std::vector<RegSet> liveIn(const asmparse::Program& program, const Cfg& cfg,
 std::vector<RegSet> definedIn(const asmparse::Program& program, const Cfg& cfg,
                               RegSet entryDefined) {
   const std::size_t n = program.instructions.size();
-  std::vector<DefUse> du(n);
-  for (std::size_t i = 0; i < n; ++i) du[i] = defUse(program.instructions[i]);
-
   // Must-analysis: start from the full set and intersect downwards; the
   // entry instruction is seeded from the ABI-defined state.
   std::vector<RegSet> in(n, RegSet::all());
@@ -94,13 +36,13 @@ std::vector<RegSet> definedIn(const asmparse::Program& program, const Cfg& cfg,
     for (std::size_t i = 0; i < n; ++i) {
       // Meet over every incoming path: the ABI-defined entry state for the
       // function entry (which can itself be a loop head) and
-      // in[p] | defs[p] for each predecessor edge.
+      // in[p] | writes[p] for each predecessor edge.
       RegSet next = (i == 0) ? entryDefined : RegSet::all();
       if (i != 0 && cfg.predecessors[i].empty()) {
         next = RegSet::all();  // unreachable: stay at top
       } else {
         for (std::size_t p : cfg.predecessors[i]) {
-          next = next & (in[p] | du[p].defs);
+          next = next & (in[p] | program.instructions[p].recipe.writes);
         }
       }
       if (!(next == in[i])) {

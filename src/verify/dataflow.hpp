@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "asmparse/asmparse.hpp"
@@ -9,57 +8,10 @@
 
 namespace microtools::verify {
 
-/// Dense set over the architectural registers the subset can name:
-/// 16 GPRs (slots 0..15), 16 XMM registers (slots 16..31) and the status
-/// flags (slot 32). Width is ignored -- %eax and %rax share a slot, which
-/// matches sameArchReg() and over-approximates partial-register liveness.
-struct RegSet {
-  std::uint64_t bits = 0;
+using isa::RegSet;
 
-  static constexpr int kFlags = 32;
-  static constexpr int kSlots = 33;
-
-  /// Slot for a register; -1 for %rip (not tracked).
-  static int slot(const isa::PhysReg& reg) {
-    switch (reg.cls) {
-      case isa::RegClass::Gpr: return reg.index;
-      case isa::RegClass::Xmm: return 16 + reg.index;
-      default: return -1;
-    }
-  }
-
-  void add(int s) {
-    if (s >= 0) bits |= std::uint64_t{1} << s;
-  }
-  void add(const isa::PhysReg& reg) { add(slot(reg)); }
-  void remove(int s) {
-    if (s >= 0) bits &= ~(std::uint64_t{1} << s);
-  }
-  bool has(int s) const {
-    return s >= 0 && (bits >> s) & 1;
-  }
-  bool has(const isa::PhysReg& reg) const { return has(slot(reg)); }
-  bool empty() const { return bits == 0; }
-
-  RegSet operator|(RegSet o) const { return {bits | o.bits}; }
-  RegSet operator&(RegSet o) const { return {bits & o.bits}; }
-  RegSet operator-(RegSet o) const { return {bits & ~o.bits}; }
-  bool operator==(const RegSet&) const = default;
-
-  static RegSet all() { return {(std::uint64_t{1} << kSlots) - 1}; }
-};
-
-/// Registers an instruction reads and writes, derived from the InstrDesc
-/// def/use metadata plus the decoded operands. Memory base/index registers
-/// are uses; a memory destination produces no register def. The
-/// zeroing idioms (xor/pxor/xorps/xorpd with identical source and
-/// destination) are treated as defs without uses.
-struct DefUse {
-  RegSet uses;
-  RegSet defs;
-};
-
-DefUse defUse(const asmparse::DecodedInsn& insn);
+// Both analyses take each instruction's uses and defs from its recipe's
+// `reads` and `writes` (asmparse::UopRecipe).
 
 /// Per-instruction liveness (backward may-analysis). Returns live-in sets;
 /// `retLiveOut` seeds the live-out of every ret instruction (the SysV return

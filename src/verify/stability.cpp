@@ -1,12 +1,13 @@
 #include "verify/stability.hpp"
 
+#include "sim/arch.hpp"
 #include "support/error.hpp"
 #include "verify/cfg.hpp"
 
 namespace microtools::verify {
 
 StabilityReport analyzeStability(const asmparse::Program& program,
-                                 const CoreModel& model,
+                                 const sim::MachineConfig& machine,
                                  const CyclePrediction& prediction,
                                  const StabilityOptions& options) {
   StabilityReport report;
@@ -24,17 +25,17 @@ StabilityReport analyzeStability(const asmparse::Program& program,
   }
 
   report.fitsL1 = options.footprintBytes > 0 &&
-                  options.footprintBytes <= model.l1SizeBytes;
+                  options.footprintBytes <= machine.l1.sizeBytes;
   report.steadyDependences = prediction.valid && !prediction.loadCarried;
   return report;
 }
 
 StabilityReport analyzeStability(std::string_view asmText,
-                                 const CoreModel& model,
+                                 const sim::MachineConfig& machine,
                                  const StabilityOptions& options) {
   try {
     asmparse::Program program = asmparse::parseAssembly(asmText);
-    return analyzeStability(program, model, predictProgram(program, model),
+    return analyzeStability(program, machine, predictProgram(program, machine),
                             options);
   } catch (const ParseError&) {
     return {};

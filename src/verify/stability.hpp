@@ -45,13 +45,13 @@ struct StabilityReport {
 /// from predictProgram/predictAssembly on the same program (an invalid
 /// prediction fails every criterion that depends on the dependence graph).
 StabilityReport analyzeStability(const asmparse::Program& program,
-                                 const CoreModel& model,
+                                 const sim::MachineConfig& machine,
                                  const CyclePrediction& prediction,
                                  const StabilityOptions& options);
 
 /// Parse-and-score convenience; parse failures score zero.
 StabilityReport analyzeStability(std::string_view asmText,
-                                 const CoreModel& model,
+                                 const sim::MachineConfig& machine,
                                  const StabilityOptions& options);
 
 }  // namespace microtools::verify

@@ -8,7 +8,6 @@
 #include "support/error.hpp"
 #include "support/strings.hpp"
 #include "verify/cfg.hpp"
-#include "verify/costmodel.hpp"
 #include "verify/dataflow.hpp"
 
 namespace microtools::verify {
@@ -90,25 +89,22 @@ SymVal evalAddress(const SymState& state, const DecodedMem& mem) {
 
 /// Applies one straight-line instruction to the symbolic state.
 void applyInsn(SymState& state, const DecodedInsn& insn) {
-  DefUse du = defUse(insn);
   const auto& ops = insn.operands;
-  const isa::InstrDesc& d = *insn.desc;
+  const asmparse::UopRecipe& recipe = insn.recipe;
 
   auto clobberDefs = [&] {
     for (int s = 0; s < 16; ++s) {
-      if (du.defs.has(s)) state[s] = SymVal::unknown();
+      if (recipe.writes.has(s)) state[s] = SymVal::unknown();
     }
   };
   if (ops.empty() || ops.back().kind != DecodedOperand::Kind::Reg ||
-      ops.back().reg.cls != isa::RegClass::Gpr || !d.writesDest) {
+      ops.back().reg.cls != isa::RegClass::Gpr || !insn.desc->writesDest) {
     clobberDefs();
     return;
   }
   const int dst = ops.back().reg.index;
-  const std::string_view m = d.mnemonic;
 
-  if ((m == "mov" || m == "movslq" || m == "movsbl" || m == "movzbl") &&
-      ops.size() == 2) {
+  if (insn.desc->kind == isa::InstrKind::Move && ops.size() == 2) {
     if (ops[0].kind == DecodedOperand::Kind::Imm) {
       state[dst] = SymVal::constant(ops[0].imm);
       return;
@@ -125,40 +121,41 @@ void applyInsn(SymState& state, const DecodedInsn& insn) {
     state[dst] = SymVal::unknown();  // load from memory
     return;
   }
-  if (m == "xor" && ops.size() == 2 &&
-      ops[0].kind == DecodedOperand::Kind::Reg &&
-      ops[0].reg.sameArchReg(ops.back().reg)) {
+  if (recipe.zeroing) {
     state[dst] = SymVal::constant(0);
     return;
   }
-  if ((m == "add" || m == "sub") && ops.size() == 2) {
-    std::optional<SymVal> src;
-    if (ops[0].kind == DecodedOperand::Kind::Imm) {
-      src = SymVal::constant(ops[0].imm);
-    } else if (ops[0].kind == DecodedOperand::Kind::Reg &&
-               ops[0].reg.cls == isa::RegClass::Gpr) {
-      src = state[ops[0].reg.index];
-    }
-    if (src) {
+  switch (recipe.op) {
+    case isa::Opcode::Add:
+    case isa::Opcode::Sub: {
+      if (ops.size() != 2) break;
+      std::optional<SymVal> src;
+      if (ops[0].kind == DecodedOperand::Kind::Imm) {
+        src = SymVal::constant(ops[0].imm);
+      } else if (ops[0].kind == DecodedOperand::Kind::Reg &&
+                 ops[0].reg.cls == isa::RegClass::Gpr) {
+        src = state[ops[0].reg.index];
+      }
       std::optional<SymVal> res;
-      if (m == "add") {
+      if (src && recipe.op == isa::Opcode::Add) {
         res = addVals(state[dst], *src);
-      } else if (src->isConst()) {
+      } else if (src && src->isConst()) {
         res = addConst(state[dst], -src->off);
       }
       state[dst] = res ? *res : SymVal::unknown();
       return;
     }
-    state[dst] = SymVal::unknown();
-    return;
+    case isa::Opcode::Inc:
+    case isa::Opcode::Dec: {
+      auto res = addConst(state[dst], recipe.op == isa::Opcode::Inc ? 1 : -1);
+      state[dst] = res ? *res : SymVal::unknown();
+      return;
+    }
+    default:
+      break;
   }
-  if (m == "inc" || m == "dec") {
-    auto res = addConst(state[dst], m == "inc" ? 1 : -1);
-    state[dst] = res ? *res : SymVal::unknown();
-    return;
-  }
-  if (m == "lea" && ops.size() == 2 &&
-      ops[0].kind == DecodedOperand::Kind::Mem) {
+  if (insn.desc->kind == isa::InstrKind::Lea && recipe.memOperand == 0 &&
+      ops.size() == 2) {
     state[dst] = evalAddress(state, ops[0].mem);
     if (state[dst].kind == SymVal::Kind::Undef) state[dst] = SymVal::unknown();
     return;
@@ -269,7 +266,6 @@ class Checker {
     checkLoops();
     checkAbi();
     checkDataflow();
-    checkCostMetadata();
     if (options_.context) checkMemory();
 
     std::stable_sort(report_.diagnostics.begin(), report_.diagnostics.end(),
@@ -307,6 +303,10 @@ class Checker {
     return program_.instructions[i];
   }
 
+  static const DecodedMem& memoryOperand(const DecodedInsn& in) {
+    return in.operands[static_cast<std::size_t>(in.recipe.memOperand)].mem;
+  }
+
   // -- MT-CFG01 / MT-CFG04 --------------------------------------------------
   void checkControlFlow() {
     for (std::size_t i = 0; i < program_.instructions.size(); ++i) {
@@ -318,22 +318,6 @@ class Checker {
              "control falls off the end of the function without ret");
       }
     }
-  }
-
-  // -- MT-COST01 ------------------------------------------------------------
-  // One warning per program, not one per occurrence: the static cost model
-  // skips predictions for these kernels, nothing else is affected.
-  void checkCostMetadata() {
-    std::vector<std::string> missing = unmodeledMnemonics(program_);
-    if (missing.empty()) return;
-    std::string list;
-    for (const std::string& m : missing) {
-      if (!list.empty()) list += ", ";
-      list += '\'' + m + '\'';
-    }
-    emit("MT-COST01", Severity::Warning, nullptr,
-         "no cost metadata for " + list +
-             "; static cycle bounds are unavailable for this kernel");
   }
 
   // -- MT-CFG02 / MT-CFG03 --------------------------------------------------
@@ -401,22 +385,21 @@ class Checker {
     for (std::size_t i = 0; i < program_.instructions.size(); ++i) {
       if (!cfg_.reachable[i]) continue;
       const DecodedInsn& in = insn(i);
-      DefUse du = defUse(in);
+      const RegSet writes = in.recipe.writes;
       for (int s : kCalleeSavedSlots) {
-        if (du.defs.has(s)) {
+        if (writes.has(s)) {
           emit("MT-ABI01", Severity::Error, &in,
                "callee-saved register " + slotName(s) +
                    " is clobbered; the kernel contract has no stack frame "
                    "to save and restore it");
         }
       }
-      if (du.defs.has(isa::kRsp)) {
+      if (writes.has(isa::kRsp)) {
         emit("MT-ABI02", Severity::Error, &in,
              "stack pointer %rsp must not be modified");
       }
-      if (in.writesMemory() && !in.operands.empty() &&
-          in.operands.back().kind == DecodedOperand::Kind::Mem) {
-        const DecodedMem& mem = in.operands.back().mem;
+      if (in.recipe.mem == asmparse::UopRecipe::Mem::Store) {
+        const DecodedMem& mem = memoryOperand(in);
         if (mem.base && mem.base->cls == isa::RegClass::Gpr &&
             mem.base->index == isa::kRsp) {
           const std::int64_t lo = mem.index ? INT64_MIN : mem.disp;
@@ -444,16 +427,15 @@ class Checker {
     for (std::size_t i = 0; i < program_.instructions.size(); ++i) {
       if (!cfg_.reachable[i]) continue;
       const DecodedInsn& in = insn(i);
-      DefUse du = defUse(in);
 
       RegSet addressUses;
-      for (const DecodedOperand& op : in.operands) {
-        if (op.kind != DecodedOperand::Kind::Mem) continue;
-        if (op.mem.base) addressUses.add(*op.mem.base);
-        if (op.mem.index) addressUses.add(*op.mem.index);
+      if (in.recipe.memOperand >= 0) {
+        const DecodedMem& mem = memoryOperand(in);
+        if (mem.base) addressUses.add(*mem.base);
+        if (mem.index) addressUses.add(*mem.index);
       }
 
-      RegSet undef = du.uses - defined_[i];
+      RegSet undef = in.recipe.reads - defined_[i];
       for (int s = 0; s < RegSet::kSlots; ++s) {
         if (!undef.has(s)) continue;
         if (s == RegSet::kFlags) {
@@ -473,9 +455,9 @@ class Checker {
 
       // Dead register results. Flags are ignored: nearly every ALU result
       // leaves its flags unread and that is normal.
-      bool isLoad = in.readsMemory();
+      bool isLoad = in.recipe.loads();
       for (int s = 0; s < 32; ++s) {
-        if (!du.defs.has(s) || liveOut_[i].has(s)) continue;
+        if (!in.recipe.writes.has(s) || liveOut_[i].has(s)) continue;
         bool calleeSaved =
             std::find(kCalleeSavedSlots.begin(), kCalleeSavedSlots.end(),
                       s) != kCalleeSavedSlots.end();
@@ -621,7 +603,7 @@ class Checker {
     return bodyExecutions(first, *loop.delta, bound, loop.condition);
   }
 
-  /// Bounds/alignment check for every memory operand of instruction i,
+  /// Bounds/alignment check for the memory access of instruction i,
   /// executed `iterations` times with per-register advance `bodyDelta`
   /// (nullptr outside loops).
   void checkAccesses(
@@ -629,82 +611,81 @@ class Checker {
       const LaunchContext& ctx,
       const std::array<std::optional<std::int64_t>, 16>* bodyDelta = nullptr) {
     const DecodedInsn& in = insn(i);
-    for (const DecodedOperand& op : in.operands) {
-      if (op.kind != DecodedOperand::Kind::Mem) continue;
-      SymVal addr = evalAddress(state, op.mem);
-      if (addr.kind == SymVal::Kind::Undef) continue;  // MT-DF01 covers it
-      if (!addr.isArray()) {
-        emit("MT-MEM03", Severity::Warning, &in,
-             addr.isConst()
-                 ? "absolute memory address cannot be checked against any "
-                   "array extent"
-                 : "memory address is not a recognizable array+offset "
-                   "expression; bounds not provable");
-        continue;
-      }
-      std::int64_t step = 0;
-      if (bodyDelta) {
-        if (op.mem.base && op.mem.base->cls == isa::RegClass::Gpr) {
-          auto d = (*bodyDelta)[op.mem.base->index];
-          if (!d) {
-            emit("MT-MEM03", Severity::Warning, &in,
-                 "base register advances non-linearly; bounds not provable");
-            continue;
-          }
-          step += *d;
+    if (in.recipe.mem == asmparse::UopRecipe::Mem::None) return;  // lea too
+    const DecodedMem& mem = memoryOperand(in);
+    SymVal addr = evalAddress(state, mem);
+    if (addr.kind == SymVal::Kind::Undef) return;  // MT-DF01 covers it
+    if (!addr.isArray()) {
+      emit("MT-MEM03", Severity::Warning, &in,
+           addr.isConst()
+               ? "absolute memory address cannot be checked against any "
+                 "array extent"
+               : "memory address is not a recognizable array+offset "
+                 "expression; bounds not provable");
+      return;
+    }
+    std::int64_t step = 0;
+    if (bodyDelta) {
+      if (mem.base && mem.base->cls == isa::RegClass::Gpr) {
+        auto d = (*bodyDelta)[mem.base->index];
+        if (!d) {
+          emit("MT-MEM03", Severity::Warning, &in,
+               "base register advances non-linearly; bounds not provable");
+          return;
         }
-        if (op.mem.index && op.mem.index->cls == isa::RegClass::Gpr) {
-          auto d = (*bodyDelta)[op.mem.index->index];
-          if (!d) {
-            emit("MT-MEM03", Severity::Warning, &in,
-                 "index register advances non-linearly; bounds not provable");
-            continue;
-          }
-          step += *d * op.mem.scale;
+        step += *d;
+      }
+      if (mem.index && mem.index->cls == isa::RegClass::Gpr) {
+        auto d = (*bodyDelta)[mem.index->index];
+        if (!d) {
+          emit("MT-MEM03", Severity::Warning, &in,
+               "index register advances non-linearly; bounds not provable");
+          return;
         }
+        step += *d * mem.scale;
       }
-      if (addr.array < 0 ||
-          addr.array >= static_cast<int>(ctx.arrays.size())) {
-        emit("MT-MEM03", Severity::Warning, &in,
-             "access through argument register with no matching array in "
-             "the launch context");
-        continue;
-      }
-      const ArrayExtent& arr = ctx.arrays[addr.array];
-      const std::int64_t bytes = in.accessBytes();
-      const std::int64_t last = addr.off + step * (iterations - 1);
-      const std::int64_t lo = std::min(addr.off, last);
-      const std::int64_t hi = std::max(addr.off, last) + bytes;
-      const std::int64_t extent =
-          static_cast<std::int64_t>(arr.bytes) +
-          static_cast<std::int64_t>(ctx.slackBytes);
-      if (lo < 0) {
-        emit("MT-MEM01", Severity::Error, &in,
-             "access reaches byte " + std::to_string(lo) +
-                 " before the start of array " + std::to_string(addr.array));
-      } else if (hi > extent) {
-        emit("MT-MEM01", Severity::Error, &in,
-             "access reaches byte " + std::to_string(hi) + " of array " +
-                 std::to_string(addr.array) + " (extent " +
-                 std::to_string(arr.bytes) + " + " +
-                 std::to_string(ctx.slackBytes) + " padding)");
-      }
-      if (in.desc->requiresAlignment) {
-        const std::int64_t align = 16;
-        bool provable = arr.alignment % align == 0 &&
-                        (static_cast<std::int64_t>(arr.offset) + addr.off) %
-                                align ==
-                            0 &&
-                        step % align == 0;
-        if (!provable) {
-          emit("MT-MEM02", Severity::Error, &in,
-               "'" + in.mnemonic + "' requires 16-byte alignment but the "
-               "address is not provably aligned (base alignment " +
-                   std::to_string(arr.alignment) + ", offset " +
-                   std::to_string(static_cast<std::int64_t>(arr.offset) +
-                                  addr.off) +
-                   ", step " + std::to_string(step) + ")");
-        }
+    }
+    if (addr.array < 0 ||
+        addr.array >= static_cast<int>(ctx.arrays.size())) {
+      emit("MT-MEM03", Severity::Warning, &in,
+           "access through argument register with no matching array in "
+           "the launch context");
+      return;
+    }
+    const ArrayExtent& arr = ctx.arrays[addr.array];
+    const std::int64_t bytes = in.accessBytes();
+    const std::int64_t last = addr.off + step * (iterations - 1);
+    const std::int64_t lo = std::min(addr.off, last);
+    const std::int64_t hi = std::max(addr.off, last) + bytes;
+    const std::int64_t extent =
+        static_cast<std::int64_t>(arr.bytes) +
+        static_cast<std::int64_t>(ctx.slackBytes);
+    if (lo < 0) {
+      emit("MT-MEM01", Severity::Error, &in,
+           "access reaches byte " + std::to_string(lo) +
+               " before the start of array " + std::to_string(addr.array));
+    } else if (hi > extent) {
+      emit("MT-MEM01", Severity::Error, &in,
+           "access reaches byte " + std::to_string(hi) + " of array " +
+               std::to_string(addr.array) + " (extent " +
+               std::to_string(arr.bytes) + " + " +
+               std::to_string(ctx.slackBytes) + " padding)");
+    }
+    if (in.desc->requiresAlignment) {
+      const std::int64_t align = 16;
+      bool provable = arr.alignment % align == 0 &&
+                      (static_cast<std::int64_t>(arr.offset) + addr.off) %
+                              align ==
+                          0 &&
+                      step % align == 0;
+      if (!provable) {
+        emit("MT-MEM02", Severity::Error, &in,
+             "'" + in.mnemonic + "' requires 16-byte alignment but the "
+             "address is not provably aligned (base alignment " +
+                 std::to_string(arr.alignment) + ", offset " +
+                 std::to_string(static_cast<std::int64_t>(arr.offset) +
+                                addr.off) +
+                 ", step " + std::to_string(step) + ")");
       }
     }
   }

@@ -168,21 +168,62 @@ TEST(AsmParse, DuplicateLabelThrowsWithLineAndColumn) {
 }
 
 TEST(AsmParse, ReadsWritesMemoryClassification) {
+  using Mem = UopRecipe::Mem;
   Program p = parseAssembly(
       "f:\n"
       " movaps (%rsi), %xmm0\n"   // load
       " movaps %xmm0, (%rsi)\n"   // store
       " mulsd (%r8), %xmm0\n"     // load-op
       " cmp $0, %rdi\n"           // no memory
+      " lea 65536(%rsi), %rdx\n"  // address arithmetic, no memory micro-op
+      " cmp %eax, (%rsi)\n"       // fused load, like any memory source
+      " not %rax\n"               // leaves the flags alone
+      " xorps %xmm1, %xmm1\n"     // zeroing idiom: reads nothing
+      " xor %eax, %ecx\n"         // two registers: no idiom
       " ret\n");
-  EXPECT_TRUE(p.instructions[0].readsMemory());
-  EXPECT_FALSE(p.instructions[0].writesMemory());
-  EXPECT_FALSE(p.instructions[1].readsMemory());
-  EXPECT_TRUE(p.instructions[1].writesMemory());
-  EXPECT_TRUE(p.instructions[2].readsMemory());
-  EXPECT_FALSE(p.instructions[2].writesMemory());
-  EXPECT_FALSE(p.instructions[3].readsMemory());
-  EXPECT_FALSE(p.instructions[3].writesMemory());
+  const auto& in = p.instructions;
+  EXPECT_EQ(in[0].recipe.mem, Mem::Load);
+  EXPECT_EQ(in[1].recipe.mem, Mem::Store);
+  EXPECT_EQ(in[2].recipe.mem, Mem::Fused);
+  EXPECT_EQ(in[3].recipe.mem, Mem::None);
+  for (int i : {0, 2}) EXPECT_TRUE(in[i].recipe.loads()) << i;
+  for (int i : {1, 3}) EXPECT_FALSE(in[i].recipe.loads()) << i;
+
+  // lea: one ALU micro-op that reads the address register, no access.
+  const UopRecipe& lea = in[4].recipe;
+  EXPECT_EQ(lea.mem, Mem::None);
+  EXPECT_EQ(lea.memOperand, 0);
+  ASSERT_EQ(lea.count, 1);
+  EXPECT_EQ(lea.uops[0].unit, isa::ExecUnit::Alu);
+  EXPECT_TRUE(lea.reads.has(isa::gpr(isa::kRsi)));
+  EXPECT_TRUE(lea.writes.has(isa::gpr(isa::kRdx)));
+
+  // cmp to memory: a load feeding the compare, which writes only flags.
+  const UopRecipe& cmp = in[5].recipe;
+  EXPECT_EQ(cmp.mem, Mem::Fused);
+  ASSERT_EQ(cmp.count, 2);
+  EXPECT_EQ(cmp.uops[0].unit, isa::ExecUnit::Load);
+  EXPECT_TRUE(cmp.uops[1].writesFlags);
+  isa::RegSet flags;
+  flags.add(isa::RegSet::kFlags);
+  EXPECT_EQ(cmp.writes, flags);
+
+  EXPECT_FALSE(in[6].recipe.writes.has(isa::RegSet::kFlags));
+  EXPECT_TRUE(in[6].recipe.reads.has(isa::gpr(isa::kRax)));
+
+  EXPECT_TRUE(in[7].recipe.zeroing);
+  EXPECT_TRUE(in[7].recipe.reads.empty());
+  EXPECT_TRUE(in[7].recipe.writes.has(isa::xmm(1)));
+  EXPECT_FALSE(in[8].recipe.zeroing);
+  EXPECT_TRUE(in[8].recipe.reads.has(isa::gpr(isa::kRcx)));
+
+  EXPECT_EQ(in[9].recipe.count, 0);  // ret
+}
+
+TEST(AsmParse, RecipeRejectsOperandsNoInstructionHas) {
+  EXPECT_THROW(parseAssembly("f:\n movaps (%rsi), (%rdi)\n ret\n"),
+               ParseError);
+  EXPECT_THROW(parseAssembly("f:\n mov %rip, %rax\n ret\n"), ParseError);
 }
 
 TEST(AsmParse, AccessBytesFromDescriptor) {

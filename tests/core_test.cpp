@@ -261,6 +261,20 @@ TEST(CoreTiming, FpDivIsExpensive) {
   EXPECT_GT(perIter, 15.0);
 }
 
+TEST(CoreTiming, ZeroingIdiomBreaksTheDividerChain) {
+  // xorps %xmm1,%xmm1 reads nothing, so the next divide waits only for the
+  // divider port (14 cycles), not for divss + xorps (15).
+  std::string zeroing =
+      "f:\n movslq %edi, %rdi\n xor %eax, %eax\n.L1:\n"
+      " divss %xmm2, %xmm1\n"
+      " xorps %xmm1, %xmm1\n"
+      " add $1, %eax\n sub $1, %rdi\n jge .L1\n ret\n";
+  RunResult r = runAsm(zeroing, 500, {});
+  double perIter = static_cast<double>(r.coreCycles) / r.iterations;
+  EXPECT_GE(perIter, 14.0);
+  EXPECT_LT(perIter, 14.5);
+}
+
 TEST(CoreTiming, UnrollingAmortizesLoopOverhead) {
   // Paper §5.1: "for the general case, unrolling is advantageous".
   // cycles per LOAD must drop monotonically-ish from u=1 to u=8 in L1.

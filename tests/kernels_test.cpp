@@ -62,10 +62,12 @@ TEST(InnerKernelAsm, ParsesAndHasFigure2Structure) {
   bool sawMovsdLoad = false, sawMulsd = false, sawAddsd = false,
        sawStore = false;
   for (const auto& insn : p.instructions) {
-    if (insn.mnemonic == "movsd" && insn.readsMemory()) sawMovsdLoad = true;
-    if (insn.mnemonic == "mulsd" && insn.readsMemory()) sawMulsd = true;
+    bool loads = insn.recipe.loads();
+    bool stores = insn.recipe.mem == asmparse::UopRecipe::Mem::Store;
+    if (insn.mnemonic == "movsd" && loads) sawMovsdLoad = true;
+    if (insn.mnemonic == "mulsd" && loads) sawMulsd = true;
     if (insn.mnemonic == "addsd") sawAddsd = true;
-    if (insn.mnemonic == "movsd" && insn.writesMemory()) sawStore = true;
+    if (insn.mnemonic == "movsd" && stores) sawStore = true;
   }
   EXPECT_TRUE(sawMovsdLoad);
   EXPECT_TRUE(sawMulsd);

@@ -143,6 +143,39 @@ TEST_F(ToolsTest, LauncherRejectsPinOutsideTheSimulatedMachine) {
   }
 }
 
+TEST_F(ToolsTest, LauncherVerifiesASingleKernelBeforeRunningIt) {
+  ASSERT_EQ(run(std::string(MT_MICROCREATOR_PATH) + " " + xmlPath_ +
+                " --output " + outDir_)
+                .exitCode,
+            0);
+  // A trip count far past the 8 KiB array would read out of bounds on real
+  // hardware; the pre-flight verifier stops the run before the kernel is
+  // loaded (so the simulator never spends 10^8 iterations on it either).
+  std::string kernel = std::string(MT_MICROLAUNCHER_PATH) + " --input " +
+                       outDir_ + "/loadstore_u1_seqL.s --array-bytes 8192";
+  CommandResult strict = run(kernel + " --n 100000000");
+  EXPECT_EQ(strict.exitCode, 1) << strict.output;
+  EXPECT_NE(strict.output.find("MT-MEM01"), std::string::npos)
+      << strict.output;
+  EXPECT_EQ(strict.output.find("cycles_per_iteration_min"), std::string::npos)
+      << strict.output;
+
+  // Every configuration of an alignment sweep is checked.
+  CommandResult sweep = run(kernel + " --n 100000000 --sweep-alignment "
+                                     "--align-max 128 --align-step 64");
+  EXPECT_EQ(sweep.exitCode, 1) << sweep.output;
+  EXPECT_NE(sweep.output.find("2 of 2 configuration(s)"), std::string::npos)
+      << sweep.output;
+
+  // --verify warn reports the error and runs the kernel anyway.
+  CommandResult warn = run(kernel + " --n 4096 --verify warn --inner 1 "
+                                    "--outer 1");
+  EXPECT_EQ(warn.exitCode, 0) << warn.output;
+  EXPECT_NE(warn.output.find("MT-MEM01"), std::string::npos) << warn.output;
+  EXPECT_NE(warn.output.find("cycles_per_iteration_min"), std::string::npos)
+      << warn.output;
+}
+
 TEST_F(ToolsTest, LauncherNativeBackend) {
   ASSERT_EQ(run(std::string(MT_MICROCREATOR_PATH) + " " + xmlPath_ +
                 " --output " + outDir_)
@@ -668,6 +701,21 @@ TEST_F(ToolsTest, AnalyzeUnboundableUnitWarnsAndExitsOne) {
       << r.output;
   EXPECT_NE(r.output.find("1 without a valid bound"), std::string::npos)
       << r.output;
+}
+
+TEST_F(ToolsTest, AnalyzeRejectsTheArrayShapesExploreRejects) {
+  std::string small =
+      writeTempXml(testing::figure6Xml(1, 2, false), "tools_analyze_geo.xml");
+  for (const char* flags : {" --array-bytes -1 --nbvectors 1",
+                            " --nbvectors 6"}) {
+    CommandResult analyze =
+        run(std::string(MT_MICROTOOLS_PATH) + " analyze " + small + flags);
+    CommandResult explore = run(std::string(MT_MICROTOOLS_PATH) +
+                                " explore --no-cache " + small + flags);
+    EXPECT_EQ(analyze.exitCode, 1) << flags << "\n" << analyze.output;
+    EXPECT_EQ(explore.exitCode, 1) << flags << "\n" << explore.output;
+    EXPECT_EQ(analyze.output, explore.output) << flags;
+  }
 }
 
 TEST_F(ToolsTest, AnalyzeRequiresAnInput) {

@@ -214,16 +214,39 @@ TEST(VerifyDataflow, ZeroIdiomDoesNotReadItsDestination) {
 TEST(VerifyDataflow, DefUseMetadataCoversCompareAndBranch) {
   asmparse::Program p = asmparse::parseAssembly(
       "f:\n cmp $4, %rdi\n jge .L\n.L:\n ret\n");
-  DefUse cmp = defUse(p.instructions[0]);
-  EXPECT_TRUE(cmp.uses.has(isa::gpr(isa::kRdi)));
-  EXPECT_FALSE(cmp.defs.has(isa::gpr(isa::kRdi)));
-  EXPECT_TRUE(cmp.defs.has(RegSet::kFlags));
-  DefUse jge = defUse(p.instructions[1]);
-  EXPECT_TRUE(jge.uses.has(RegSet::kFlags));
-  EXPECT_TRUE(jge.defs.empty());
+  const asmparse::UopRecipe& cmp = p.instructions[0].recipe;
+  EXPECT_TRUE(cmp.reads.has(isa::gpr(isa::kRdi)));
+  EXPECT_FALSE(cmp.writes.has(isa::gpr(isa::kRdi)));
+  EXPECT_TRUE(cmp.writes.has(RegSet::kFlags));
+  const asmparse::UopRecipe& jge = p.instructions[1].recipe;
+  EXPECT_TRUE(jge.reads.has(RegSet::kFlags));
+  EXPECT_TRUE(jge.writes.empty());
 }
 
 // -- memory bounds / alignment ----------------------------------------------
+
+TEST(VerifyMemory, LeaComputesAnAddressWithoutAccessingMemory) {
+  // lea 65536(%rsi) points far past the 16 KiB array, but it touches no
+  // memory: no bounds error, and its result is no "loaded value".
+  VerifyReport r = verifyAssembly(
+      "\t.globl microkernel\n"
+      "microkernel:\n"
+      "\tmovslq %edi, %rdi\n"
+      "\txor %eax, %eax\n"
+      ".L6:\n"
+      "\tlea 65536(%rsi), %rdx\n"
+      "\tadd $16, %rsi\n"
+      "\tadd $1, %eax\n"
+      "\tsub $4, %rdi\n"
+      "\tjge .L6\n"
+      "\tret\n",
+      withContext(4096, 16384));
+  EXPECT_FALSE(hasRule(r, "MT-MEM01")) << rulesOf(r);
+  EXPECT_FALSE(hasRule(r, "MT-DF04")) << rulesOf(r);
+  EXPECT_TRUE(hasRule(r, "MT-DF03")) << rulesOf(r);  // %rdx is never read
+  EXPECT_TRUE(r.ok()) << rulesOf(r);
+}
+
 
 TEST(VerifyMemory, GoodKernelInBounds) {
   // n = 262144 elements of 4 bytes over a 1 MiB array: the canonical
